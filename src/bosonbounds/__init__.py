@@ -17,7 +17,6 @@ from .closed_bounds import (
     sigma2_gaussian,
 )
 from .collective_field import (
-    MomentTable,
     PhiResult,
     TrialDensity,
     delta_1d_phi,
@@ -26,7 +25,6 @@ from .collective_field import (
     kinetic_coeff,
     minimize_scale,
     moment_coeff,
-    moment_table,
     optimize,
 )
 from .model import (
@@ -66,12 +64,10 @@ __all__ = [
     "m_constant",
     "bound_report",
     "TrialDensity",
-    "MomentTable",
     "PhiResult",
     "kinetic_coeff",
     "moment_coeff",
     "inverse_square_coeff",
-    "moment_table",
     "energy_at",
     "minimize_scale",
     "optimize",

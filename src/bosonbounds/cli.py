@@ -71,9 +71,9 @@ class SweepConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if not 0.0 < self.v_min < self.v_max:
+        if not (math.isfinite(self.v_max) and 0.0 < self.v_min < self.v_max):
             raise ValueError(
-                f"need 0 < v_min < v_max, got v_min={self.v_min}, v_max={self.v_max}"
+                f"need 0 < v_min < v_max < inf, got v_min={self.v_min}, v_max={self.v_max}"
             )
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
@@ -104,7 +104,7 @@ def sweep_rows(config: SweepConfig) -> list:
     """All sweep rows in ascending v, each checked against the bound chain."""
     step = (config.v_max - config.v_min) / (config.steps - 1)
     vs = [config.v_min + i * step for i in range(config.steps)]
-    # rows are independent; moment tables are cached per q and shared
+    # rows are independent; the C_-2 values are cached per q and shared
     with ThreadPoolExecutor(max_workers=4) as pool:
         rows = list(pool.map(lambda v: _sweep_row(config, v), vs))
     for row in rows:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import Potential, PotentialKind, Problem
-from .numerics import gamma_fn
 
 __all__ = [
     "BoundReport",
@@ -63,7 +62,7 @@ def gamma_d(d: int) -> float:
     """Dimension constant Gamma((d-1)/2) / Gamma(d/2); gamma_3 = 2/sqrt(pi)."""
     if not isinstance(d, int) or d < 3:
         raise ValueError(f"d must be an integer >= 3, got {d!r}")
-    return gamma_fn((d - 1) / 2.0) / gamma_fn(d / 2.0)
+    return math.gamma((d - 1) / 2.0) / math.gamma(d / 2.0)
 
 
 def sigma2_gaussian(prob: Problem) -> float:

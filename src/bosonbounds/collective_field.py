@@ -12,11 +12,12 @@ to dimensionless coefficients times powers of the scale b:
     <KE> = T(q)/b**2,   <r**p> = C_p(q) * b**p
 
 so minimization over b is analytic and only the power q is optimized
-numerically.  T(q) has a Gamma closed form; the C_p(q) come from a double
-radial integral with the angular average already carried out, evaluated
-here with the double-exponential rule from ``numerics``.  The p = -2
-moment (the soft core) has a logarithmic kernel, integrable but singular
-on the diagonal s = t.
+numerically.  T(q), C_2(q) and C_-1(q) have closed forms (Gamma ratios and
+a regularized incomplete beta function).  The soft-core moment C_-2(q) has
+a logarithmic kernel, integrable but singular on the diagonal s = t, and is
+the one double radial integral left; it is evaluated with the
+double-exponential rule from ``numerics``, refined level by level until two
+levels agree.
 
 The 1-D delta-interaction model used for calibration lives here too: its
 functional on the same family is fully closed-form.
@@ -33,23 +34,14 @@ from typing import Optional
 import numpy as np
 
 from .model import PotentialKind, Problem
-from .numerics import (
-    MinimizeSpec,
-    QuadratureError,
-    QuadratureSpec,
-    de_nodes,
-    gamma_fn,
-    minimize_1d,
-)
+from .numerics import MinimizeSpec, QuadratureError, de_nodes, minimize_1d
 
 __all__ = [
     "TrialDensity",
-    "MomentTable",
     "PhiResult",
     "kinetic_coeff",
     "moment_coeff",
     "inverse_square_coeff",
-    "moment_table",
     "energy_at",
     "minimize_scale",
     "optimize",
@@ -62,7 +54,9 @@ logger = logging.getLogger(__name__)
 # bracket guards against edge optima while respecting q > 1/2.
 _Q_LO, _Q_HI = 0.6, 12.0
 
-_DEFAULT_QUAD = QuadratureSpec()
+# C_-2 is accepted once two successive quadrature levels agree to _RTOL
+_RTOL = 1e-10
+_MAX_LEVEL = 6
 
 
 @dataclass(frozen=True)
@@ -81,32 +75,6 @@ class TrialDensity:
             raise ValueError(f"b must be positive, got {self.b}")
         if not self.q > 0.5:
             raise ValueError(f"q must exceed 1/2, got {self.q}")
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """All unit-scale coefficients of one power q."""
-
-    q: float
-    kinetic_T: float
-    normalization_I: float
-    moment_C2: float
-    moment_C1: float
-    moment_Cm1: float
-    moment_Cm2: float
-
-    def __post_init__(self):
-        for name in (
-            "kinetic_T",
-            "normalization_I",
-            "moment_C2",
-            "moment_C1",
-            "moment_Cm1",
-            "moment_Cm2",
-        ):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -137,120 +105,91 @@ def kinetic_coeff(q: float) -> float:
     T(2) = 3/4 and T(1) = 1/8 exactly.
     """
     _require_q(q)
-    return q * q * gamma_fn(2.0 + 1.0 / q) / (8.0 * gamma_fn(3.0 / q))
-
-
-def _normalization(q: float) -> float:
-    # I(q) = Int_0^inf exp(-s**q) s**2 ds = Gamma(3/q)/q
-    return gamma_fn(3.0 / q) / q
+    return q * q * math.gamma(2.0 + 1.0 / q) / (8.0 * math.gamma(3.0 / q))
 
 
 # ---------------------------------------------------------------------------
-# Pair-moment double integrals
+# Pair moments of two independent unit-scale draws with radii s, t
 #
-# C_p(q) = (1/I**2) Int_0^inf dt w(t) t Int_t^inf ds w(s) s K_p(s, t)
-# with the angular-average kernel
-#     K_p(s, t) = {(s+t)**(p+2) - (s-t)**(p+2)} / (p+2)      (p != -2)
-#     K_-2(s, t) = ln((s+t)/(s-t))
-# The inner integral runs in the shifted variable u = s - t, putting the
-# diagonal singularity of the log kernel at the endpoint u = 0 where the
-# double-exponential transform damps it; the kernels below take u exactly
-# as the rule produced it, so ln((s+t)/(s-t)) = log1p(2t/u) never suffers
-# the cancellation of recomputing s - t.
+# * C_2 = <|r - r'|**2> = 2 <r**2>, a Gamma ratio.
+# * C_-1: by the shell theorem the angular average of 1/|r - r'| is
+#   1/max(s, t); with s**q, t**q Gamma(3/q) variables, E[1/max] reduces to
+#   a regularized incomplete beta function at 1/2 (DLMF 8.17).
+# * C_-2 = (1/I**2) Int_0^inf dt w(t) t Int_t^inf ds w(s) s ln((s+t)/(s-t))
+#   has no such reduction.  The inner integral runs in u = s - t, putting
+#   the log singularity at the endpoint u = 0 where the double-exponential
+#   transform damps it, and log1p(2t/u) takes u exactly as the rule
+#   produced it, avoiding the cancellation of recomputing s - t.
 # ---------------------------------------------------------------------------
+
+
+def _second_moment(q: float) -> float:
+    return 2.0 * math.gamma(5.0 / q) / math.gamma(3.0 / q)
+
+
+def _inverse_moment(q: float) -> float:
+    # imported here: scipy.special costs tens of ms at package import
+    from scipy.special import betainc
+
+    ratio = 2.0 * math.gamma(2.0 / q) / math.gamma(3.0 / q)
+    return ratio * float(betainc(3.0 / q, 2.0 / q, 0.5))
+
+
+_ATTRACTION = {
+    PotentialKind.SOFT_CORE_OSCILLATOR: _second_moment,
+    PotentialKind.KRATZER: _inverse_moment,
+}
 
 _MAX_CACHED_LEVEL = 4
 
 
-def _polynomial_kernels(S, T, U):
-    # reduced closed forms of K_p for the potentials' exponents
-    return {
-        2: 2.0 * S * T * (S * S + T * T),
-        1: 2.0 * T * (3.0 * S * S + T * T) / 3.0,
-        0: 2.0 * S * T,
-        -1: 2.0 * T * np.ones_like(S),
-        -2: np.log1p(2.0 * T / U),
-    }
+def _pair_kernel(t, u):
+    """q-independent log S and S*log1p(2T/U) on rows t, columns u, S = T + U."""
+    T = t[:, None]
+    S = T + u
+    return np.log(S), S * np.log1p(2.0 * T / u)
 
 
 @lru_cache(maxsize=None)
 def _pair_grid(level: int):
-    """q-independent pieces of the fused 2-D rule at one refinement level."""
-    t, wt, logt = de_nodes(level)
-    u, wu, _ = de_nodes(level)
-    T = t[:, None]
-    U = u[None, :]
-    S = T + U
-    logS = np.log(S)
-    kern = _polynomial_kernels(S, T, U)
-    return t, wt, logt, wu, S, logS, T, U, kern
-
-
-def _general_kernel(S, T, U, p: float):
-    a = p + 2.0
-    x = T / S
-    exact = ((S + T) ** a - U**a) / a
-    # odd binomial series in x = t/s; guards the cancellation of the exact
-    # form when t << s (two terms leave a relative error ~ x**4)
-    series = (
-        2.0
-        * S**a
-        * (
-            x
-            + (a - 1.0) * (a - 2.0) / 6.0 * x**3
-            + (a - 1.0) * (a - 2.0) * (a - 3.0) * (a - 4.0) / 120.0 * x**5
-        )
-    )
-    return np.where(x < 1e-4, series, exact)
+    s, _, _ = de_nodes(level)
+    return _pair_kernel(s, s)
 
 
 @lru_cache(maxsize=4096)
-def _moments_single_level(q: float, level: int, ps: tuple) -> tuple:
-    """All requested C_p at one refinement level, sharing the exp passes."""
-    inv_i2 = (q / gamma_fn(3.0 / q)) ** 2
+def _inverse_square_at_level(q: float, level: int) -> float:
+    s, w, log_s = de_nodes(level)
+    # nodes with s**q > 750 have exp(-s**q) == 0.0 exactly, so as rows and as
+    # columns (S > u) they add nothing; dropping them is most of the grid at large q
+    k = int(np.searchsorted(log_s, math.log(750.0) / q))
+    s, w, log_s = s[:k], w[:k], log_s[:k]
+    w_outer = np.exp(-np.exp(q * log_s)) * s * w
     if level <= _MAX_CACHED_LEVEL:
-        t, wt, logt, wu, S, logS, T, U, kern = _pair_grid(level)
-        w_s = np.exp(-np.exp(q * logS)) * S
-        w_outer = np.exp(-np.exp(q * logt)) * t * wt
-        out = []
-        for p in ps:
-            K = kern[p] if p in kern else _general_kernel(S, T, U, p)
-            out.append(float(w_outer @ ((w_s * K) @ wu)) * inv_i2)
-        return tuple(out)
-    # finer levels are rare; evaluate in row blocks to bound memory
-    t, wt, logt = de_nodes(level)
-    u, wu, _ = de_nodes(level)
-    w_outer = np.exp(-np.exp(q * logt)) * t * wt
-    acc = [0.0] * len(ps)
-    block = 256
-    for i0 in range(0, t.size, block):
-        T = t[i0 : i0 + block, None]
-        U = u[None, :]
-        S = T + U
-        w_s = np.exp(-np.exp(q * np.log(S))) * S
-        kern = _polynomial_kernels(S, T, U)
-        for j, p in enumerate(ps):
-            K = kern[p] if p in kern else _general_kernel(S, T, U, p)
-            acc[j] += float(w_outer[i0 : i0 + block] @ ((w_s * K) @ wu))
-    return tuple(a * inv_i2 for a in acc)
+        log_grid, kernel = _pair_grid(level)
+        blocks = [(slice(None), log_grid[:k, :k], kernel[:k, :k])]
+    else:
+        # finer levels are rare; evaluate in row blocks to bound memory
+        blocks = (
+            (slice(i, i + 256), *_pair_kernel(s[i : i + 256], s)) for i in range(0, k, 256)
+        )
+    total = sum(
+        float(w_outer[rows] @ ((np.exp(-np.exp(q * log_grid)) * kernel) @ w))
+        for rows, log_grid, kernel in blocks
+    )
+    return total * (q / math.gamma(3.0 / q)) ** 2
 
 
 @lru_cache(maxsize=4096)
-def _moments(q: float, ps: tuple, rtol: float, max_level: int) -> tuple:
-    """Level-refined C_p values; converged when every entry agrees."""
+def _inverse_square(q: float) -> float:
     prev = cur = None
-    for level in range(2, max(3, max_level) + 1):
-        prev, cur = cur, _moments_single_level(q, level, ps)
-        if prev is not None and all(
-            abs(c - p_) <= rtol * abs(c) for c, p_ in zip(cur, prev)
-        ):
+    for level in range(2, _MAX_LEVEL + 1):
+        prev, cur = cur, _inverse_square_at_level(q, level)
+        if prev is not None and abs(cur - prev) <= _RTOL * abs(cur):
             return cur
-    raise QuadratureError(
-        f"pair moments did not converge for q = {q}", (prev, cur)
-    )
+    raise QuadratureError(f"C_-2 did not converge for q = {q}", (prev, cur))
 
 
-def moment_coeff(q: float, p: float, spec: Optional[QuadratureSpec] = None) -> float:
+def moment_coeff(q: float, p: float) -> float:
     """Pair-moment coefficient C_p(q) with <r**p> = C_p(q) * b**p.
 
     Parameters
@@ -258,47 +197,33 @@ def moment_coeff(q: float, p: float, spec: Optional[QuadratureSpec] = None) -> f
     q : float
         Trial-density power, q > 1/2.
     p : float
-        Moment exponent, p > -3 and p != -2 (the log-kernel case p = -2
-        is ``inverse_square_coeff``).
-    spec : QuadratureSpec, optional
+        Moment exponent, 2 or -1 (the exponents of the attractive terms;
+        the log-kernel case p = -2 is ``inverse_square_coeff``).
 
     Returns
     -------
     float
+        C_2(q) = 2 Gamma(5/q)/Gamma(3/q), or
+        C_-1(q) = 2 Gamma(2/q)/Gamma(3/q) * I_{1/2}(3/q, 2/q).
     """
     _require_q(q)
+    if p == 2:
+        return _second_moment(q)
+    if p == -1:
+        return _inverse_moment(q)
     if p == -2:
         raise ValueError("p = -2 has a logarithmic kernel; use inverse_square_coeff")
-    if p <= -3:
-        raise ValueError(f"moment diverges for p <= -3, got p = {p}")
-    spec = spec or _DEFAULT_QUAD
-    key = int(p) if p in (2, 1, 0, -1) else float(p)
-    return _moments(q, (key,), spec.relative_tolerance, spec.max_refinement_levels)[0]
+    raise ValueError(f"moment_coeff supports p = 2 and p = -1, got p = {p}")
 
 
-def inverse_square_coeff(q: float, spec: Optional[QuadratureSpec] = None) -> float:
-    """Soft-core coefficient C_-2(q) with <r**-2> = C_-2(q) / b**2."""
+def inverse_square_coeff(q: float) -> float:
+    """Soft-core coefficient C_-2(q) with <r**-2> = C_-2(q) / b**2.
+
+    Certified quadrature: levels are doubled until two agree to 1e-10
+    relative, and ``QuadratureError`` is raised if six levels do not.
+    """
     _require_q(q)
-    spec = spec or _DEFAULT_QUAD
-    return _moments(q, (-2,), spec.relative_tolerance, spec.max_refinement_levels)[0]
-
-
-def moment_table(q: float, spec: Optional[QuadratureSpec] = None) -> MomentTable:
-    """Every coefficient of one q in a single fused quadrature pass."""
-    _require_q(q)
-    spec = spec or _DEFAULT_QUAD
-    c2, c1, cm1, cm2 = _moments(
-        q, (2, 1, -1, -2), spec.relative_tolerance, spec.max_refinement_levels
-    )
-    return MomentTable(
-        q=q,
-        kinetic_T=kinetic_coeff(q),
-        normalization_I=_normalization(q),
-        moment_C2=c2,
-        moment_C1=c1,
-        moment_Cm1=cm1,
-        moment_Cm2=cm2,
-    )
+    return _inverse_square(q)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +231,20 @@ def moment_table(q: float, spec: Optional[QuadratureSpec] = None) -> MomentTable
 # ---------------------------------------------------------------------------
 
 
-def _coeffs_for(prob: Problem, q: float) -> tuple:
-    """(T, attract, soft) where the energy is T/b**2 + attract-term + soft/b**2."""
+def _reduced_coeffs(prob: Problem, q: float, soft_core) -> tuple:
+    """(A, C) = (T + v*mu*C_-2, v*lam*C_attract); ``soft_core(q)`` gives C_-2."""
     pot, v = prob.potential, prob.v
-    t_kin = kinetic_coeff(q)
-    need_soft = pot.mu > 0.0
-    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        ps = (2, -2) if need_soft else (2,)
-    else:
-        ps = (-1, -2) if need_soft else (-1,)
-    vals = _moments(q, ps, _DEFAULT_QUAD.relative_tolerance, _DEFAULT_QUAD.max_refinement_levels)
-    attract = vals[0]
-    soft = v * pot.mu * vals[1] if need_soft else 0.0
-    return t_kin, attract, soft
+    a = kinetic_coeff(q)
+    if pot.mu > 0.0:
+        a += v * pot.mu * soft_core(q)
+    return a, v * pot.lam * _ATTRACTION[pot.kind](q)
+
+
+def _scale_min(prob: Problem, q: float, soft_core) -> tuple:
+    a, c = _reduced_coeffs(prob, q, soft_core)
+    if prob.potential.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
+        return (a / c) ** 0.25, 2.0 * math.sqrt(a * c)
+    return 2.0 * a / c, -c * c / (4.0 * a)
 
 
 def energy_at(prob: Problem, density: TrialDensity) -> float:
@@ -328,12 +254,11 @@ def energy_at(prob: Problem, density: TrialDensity) -> float:
     Kratzer:    T/b**2 + v*(-lam*Cm1/b + mu*Cm2/b**2)
     """
     _require_d3(prob)
-    pot, v = prob.potential, prob.v
-    b, q = density.b, density.q
-    t_kin, attract, soft = _coeffs_for(prob, q)
-    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        return (t_kin + soft) / (b * b) + v * pot.lam * attract * b * b
-    return (t_kin + soft) / (b * b) - v * pot.lam * attract / b
+    b = density.b
+    a, c = _reduced_coeffs(prob, density.q, _inverse_square)
+    if prob.potential.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
+        return a / (b * b) + c * b * b
+    return a / (b * b) - c / b
 
 
 def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
@@ -348,36 +273,13 @@ def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
     """
     _require_d3(prob)
     _require_q(q)
-    pot, v = prob.potential, prob.v
-    t_kin, attract, soft = _coeffs_for(prob, q)
-    a = t_kin + soft
-    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        b_coef = v * pot.lam * attract
-        return (a / b_coef) ** 0.25, 2.0 * math.sqrt(a * b_coef)
-    c_coef = v * pot.lam * attract
-    return 2.0 * a / c_coef, -c_coef * c_coef / (4.0 * a)
+    return _scale_min(prob, q, _inverse_square)
 
 
 # one coarse scan grid shared by every optimize call; the moments along it
 # do not depend on v, so the scan is nearly free after the first row of a
 # sweep (per-q results are cached)
 _SCAN_Q = tuple(float(q) for q in np.linspace(0.62, _Q_HI, 32))
-
-
-def _scan_energy(prob: Problem, q: float) -> float:
-    # single fixed level: the scan only locates the valley and flags shape
-    pot, v = prob.potential, prob.v
-    t_kin = kinetic_coeff(q)
-    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        ps = (2, -2)
-    else:
-        ps = (-1, -2)
-    vals = _moments_single_level(q, 2, ps)
-    a = t_kin + (v * pot.mu * vals[1] if pot.mu > 0.0 else 0.0)
-    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        return 2.0 * math.sqrt(a * v * pot.lam * vals[0])
-    c_coef = v * pot.lam * vals[0]
-    return -c_coef * c_coef / (4.0 * a)
 
 
 def optimize(prob: Problem, spec: Optional[MinimizeSpec] = None) -> PhiResult:
@@ -389,7 +291,11 @@ def optimize(prob: Problem, spec: Optional[MinimizeSpec] = None) -> PhiResult:
     polishes the minimizer.
     """
     _require_d3(prob)
-    scan = [_scan_energy(prob, q) for q in _SCAN_Q]
+    # single fixed level: the scan only locates the valley and flags shape
+    scan = [
+        _scale_min(prob, q, lambda qq: _inverse_square_at_level(qq, 2))[1]
+        for q in _SCAN_Q
+    ]
     interior_minima = sum(
         1
         for i in range(1, len(scan) - 1)
@@ -425,8 +331,8 @@ def _delta_coeffs(q: float) -> tuple:
     finite.
     """
     _require_q(q)
-    g1 = gamma_fn(1.0 / q)
-    t1 = q * q * gamma_fn(2.0 - 1.0 / q) / (8.0 * g1)
+    g1 = math.gamma(1.0 / q)
+    t1 = q * q * math.gamma(2.0 - 1.0 / q) / (8.0 * g1)
     u1 = q * 2.0 ** (-1.0 - 1.0 / q) / g1
     return t1, u1
 

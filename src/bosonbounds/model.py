@@ -46,10 +46,10 @@ class Potential:
     def __post_init__(self):
         if not isinstance(self.kind, PotentialKind):
             raise ValueError(f"kind must be a PotentialKind, got {self.kind!r}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be non-negative, got {self.mu}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError(f"mu must be non-negative and finite, got {self.mu}")
 
     @classmethod
     def oscillator(cls, lam: float = 1.0, mu: float = 1.0) -> "Potential":
@@ -72,8 +72,8 @@ class Problem:
         if not isinstance(self.d, int) or self.d < 3:
             # d - 2 appears in denominators of every closed form
             raise ValueError(f"d must be an integer >= 3, got {self.d!r}")
-        if not self.v > 0.0:
-            raise ValueError(f"v must be positive, got {self.v}")
+        if not (math.isfinite(self.v) and self.v > 0.0):
+            raise ValueError(f"v must be positive and finite, got {self.v}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,9 @@ class PhysicalSystem:
         if not isinstance(self.N, int) or self.N < 2:
             raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
         for name in ("V0", "m", "a", "hbar"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {val}")
 
 
 def potential_value(pot: Potential, r: float) -> float:

@@ -1,12 +1,9 @@
 """Shared numerical kernels.
 
-Three independent tools used throughout the package:
+Two independent tools used throughout the package:
 
-* ``gamma_fn``: the Gamma function from a Lanczos approximation, good to
-  better than 12 significant digits on [0.1, 60].
-* double-exponential quadrature on the half line (0, inf), including a
-  variant for inner integrals whose integrand has an integrable
-  singularity at the lower endpoint.
+* ``de_nodes``: nodes and weights of the double-exponential rule on the
+  half line (0, inf), the rule behind the soft-core pair moment.
 * ``minimize_1d``: bracketed one-dimensional minimization (golden section
   with parabolic acceleration).
 """
@@ -20,96 +17,17 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
     "MinimizeSpec",
     "MinimizeResult",
     "QuadratureError",
-    "gamma_fn",
     "de_nodes",
-    "integrate_semi_infinite",
-    "integrate_singular_inner",
     "minimize_1d",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Gamma function
-# ---------------------------------------------------------------------------
-
-# Lanczos approximation, g = 7 with 9 coefficients.  This choice keeps the
-# relative error below ~1e-14 for arguments in [0.5, 60], which covers every
-# Gamma evaluation made by this package (ratios of half-integers and the
-# 1/q-type arguments with q > 1/2).
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0.
-
-    Parameters
-    ----------
-    x : float
-        Argument, must be strictly positive.
-
-    Returns
-    -------
-    float
-        Gamma(x), accurate to at least 12 significant digits on [0.1, 60].
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0`` (poles and the reflection region are unsupported).
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # recurrence keeps the Lanczos core on its accurate range
-        return gamma_fn(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-# ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy request for the adaptive quadrature routines."""
-
-    relative_tolerance: float = 1e-10
-    max_refinement_levels: int = 6
-
-    def __post_init__(self):
-        if not (1e-14 <= self.relative_tolerance <= 1e-4):
-            raise ValueError(
-                "relative_tolerance must lie in [1e-14, 1e-4], got "
-                f"{self.relative_tolerance}"
-            )
-        if self.max_refinement_levels < 1:
-            raise ValueError("max_refinement_levels must be >= 1")
-
-
-_DEFAULT_QUAD = QuadratureSpec()
 
 
 class QuadratureError(RuntimeError):
@@ -152,85 +70,6 @@ def de_nodes(level: int):
     for arr in (s, w, log_s):
         arr.flags.writeable = False
     return s, w, log_s
-
-
-def integrate_semi_infinite(f, spec: QuadratureSpec | None = None) -> float:
-    """Integrate ``f`` over (0, inf) by double-exponential refinement.
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand; receives a float64 array of nodes and must
-        return an array of the same shape.  It should be continuous on
-        (0, inf) and decay at least exponentially at infinity.
-    spec : QuadratureSpec, optional
-        Tolerance and refinement budget.  Defaults to rtol 1e-10, 6 levels.
-
-    Returns
-    -------
-    float
-        The integral, converged when two successive refinement levels agree
-        to the requested relative tolerance.
-
-    Raises
-    ------
-    QuadratureError
-        If the levels never agree; the error carries the last two estimates.
-    """
-    spec = spec or _DEFAULT_QUAD
-    prev = cur = math.nan
-    for level in range(1, spec.max_refinement_levels + 1):
-        s, w, _ = de_nodes(level)
-        prev, cur = cur, float(np.dot(np.asarray(f(s), dtype=float), w))
-        if level > 1 and abs(cur - prev) <= spec.relative_tolerance * abs(cur):
-            return cur
-    raise QuadratureError("quadrature did not converge", (prev, cur))
-
-
-def integrate_singular_inner(g, t: float, spec: QuadratureSpec | None = None) -> float:
-    """Integrate ``g`` over (t, inf) with an integrable singularity at s = t.
-
-    The integration runs in the shifted variable u = s - t, so the
-    singularity sits at the endpoint u = 0 where the double-exponential
-    transform damps it.  ``g`` may take one argument (the node array s) or
-    two (s and u); the two-argument form receives u = s - t exactly as the
-    quadrature produced it, which lets kernels such as
-    log((s + t)/(s - t)) be written as log1p(2*t/u) without the
-    catastrophic cancellation of recomputing s - t near the endpoint.
-
-    Parameters
-    ----------
-    g : callable
-        Vectorized integrand, ``g(s)`` or ``g(s, u)``.
-    t : float
-        Lower limit, must be positive.
-    spec : QuadratureSpec, optional
-
-    Returns
-    -------
-    float
-    """
-    if t <= 0.0:
-        raise ValueError(f"integrate_singular_inner requires t > 0, got {t}")
-    spec = spec or _DEFAULT_QUAD
-    prev = cur = math.nan
-    two_arg = None
-    for level in range(1, spec.max_refinement_levels + 1):
-        u, w, _ = de_nodes(level)
-        s = t + u
-        if two_arg is None:
-            try:
-                vals = g(s, u)
-                two_arg = True
-            except TypeError:
-                vals = g(s)
-                two_arg = False
-        else:
-            vals = g(s, u) if two_arg else g(s)
-        prev, cur = cur, float(np.dot(np.asarray(vals, dtype=float), w))
-        if level > 1 and abs(cur - prev) <= spec.relative_tolerance * abs(cur):
-            return cur
-    raise QuadratureError("singular inner integral did not converge", (prev, cur))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .closed_bounds import sigma2_gaussian
 from .model import PotentialKind, Problem, minimum_point
@@ -71,7 +70,10 @@ def _lowest_eigenvalue(prob: Problem, r_min: float, r_max: float, n: int) -> flo
     centrifugal = (prob.d - 1) * (prob.d - 3) / 4.0
     diag = 2.0 / (h * h) + prob.v * f + centrifugal / (r * r)
     off = np.full(n - 1, -1.0 / (h * h))
-    val = eigh_tridiagonal(
+    # imported here: scipy.linalg dominates package import time
+    from scipy import linalg
+
+    val = linalg.eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, 0)
     )
     return float(val[0])

@@ -7,6 +7,7 @@ module entry point itself.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -199,6 +200,22 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("bounds", "--v", "2", "--mu", "nan"), "mu must be non-negative and finite"),
+            (("bounds", "--v", "inf"), "v must be positive and finite"),
+            (("bounds", "--v", "2", "--lambda", "inf"), "lam must be positive and finite"),
+            (("physical", "--N", "10", "--V0", "inf"), "V0 must be positive and finite"),
+            (("sweep", "--v-max", "inf"), "v_max=inf"),
+        ],
+    )
+    def test_non_finite_input_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bosonbounds.cli", "bounds", "--v", "1", "--mu", "0"],
@@ -207,3 +224,24 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0
         assert "F2 lower" in proc.stdout
+
+
+class TestImport:
+    def test_package_import_leaves_scipy_submodules_unloaded(self):
+        # scipy.linalg and scipy.special are imported where they are used,
+        # which keeps them out of the start-up time of every command
+        import bosonbounds
+
+        src = os.path.dirname(os.path.dirname(bosonbounds.__file__))
+        code = (
+            "import sys, bosonbounds; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,19 +1,21 @@
 """Tests for the variational collective-field bound.
 
-The moment coefficients have no closed form except at special points, so
-they are checked three independent ways: Gamma identities that hold for
-all q (independent zero-mean points, chi-square moments at q = 2), a
-Monte Carlo evaluation with the angular average done exactly, and frozen
-high-precision values pinned by those cross-checks.
+C2 and C_-1 are closed forms and C_-2 is a double-exponential quadrature;
+all three are checked independently: against adaptive quadrature
+(``scipy.integrate.quad``) of their radial integrals, chi-square moments at
+q = 2, a Monte Carlo evaluation with the angular average done exactly, and
+frozen high-precision values pinned by those cross-checks.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from bosonbounds import (
-    MomentTable,
     Potential,
     Problem,
     TrialDensity,
@@ -25,10 +27,10 @@ from bosonbounds import (
     lower_bound,
     minimize_scale,
     moment_coeff,
-    moment_table,
     optimize,
 )
-from bosonbounds.numerics import MinimizeSpec, integrate_semi_infinite, minimize_1d
+from bosonbounds import collective_field
+from bosonbounds.numerics import MinimizeSpec, QuadratureError, minimize_1d
 
 
 def osc(lam=1.0, mu=1.0, v=1.0, d=3):
@@ -37,6 +39,48 @@ def osc(lam=1.0, mu=1.0, v=1.0, d=3):
 
 def kra(lam=1.0, mu=1.0, v=1.0, d=3):
     return Problem(Potential.kratzer(lam, mu), d, v)
+
+
+def half_line(f):
+    """Adaptive quadrature of a scalar integrand over (0, inf)."""
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    return quad(f, 0.0, 1.0, **opts)[0] + quad(f, 1.0, math.inf, **opts)[0]
+
+
+# Radial references for the unit-scale density s**2 exp(-s**q) / I(q).
+# Two independent radii s, t; the angular averages of |r - r'|**p are
+# s**2 + t**2 (p = 2), 1/max(s, t) (p = -1) and ln((s+t)/|s-t|)/(2st)
+# (p = -2), each integrated here with no code shared with the package.
+
+
+def ref_norm(q):
+    return half_line(lambda s: s * s * math.exp(-(s**q)))
+
+
+def ref_c2(q):
+    return 2.0 * half_line(lambda s: s**4 * math.exp(-(s**q))) / ref_norm(q)
+
+
+def ref_cm1(q):
+    # inner Int_t^inf s exp(-s**q) ds = Gamma(2/q) Q(2/q, t**q) / q
+    g = math.gamma(2.0 / q) / q
+    outer = half_line(lambda t: t * t * math.exp(-(t**q)) * g * gammaincc(2.0 / q, t**q))
+    return 2.0 * outer / ref_norm(q) ** 2
+
+
+@lru_cache(maxsize=None)
+def ref_cm2(q):
+    # inner integral in u = s - t, the log singularity at the endpoint u = 0
+    def inner(t):
+        return half_line(
+            lambda u: (t + u) * math.exp(-((t + u) ** q)) * math.log1p(2.0 * t / u)
+        )
+
+    return half_line(lambda t: t * math.exp(-(t**q)) * inner(t)) / ref_norm(q) ** 2
+
+
+def ref_kinetic(q):
+    return q * q * half_line(lambda s: s ** (2.0 * q) * math.exp(-(s**q))) / (8.0 * ref_norm(q))
 
 
 class TestKineticCoeff:
@@ -48,9 +92,7 @@ class TestKineticCoeff:
     @pytest.mark.parametrize("q", [1.1, 2.0, 3.7])
     def test_quadrature_route_agrees(self, q):
         # (w')^2/w = q^2 s^(2q-2) w integrated against s^2 ds, over 8 I
-        num = integrate_semi_infinite(lambda s: s ** (2.0 * q) * np.exp(-(s**q)))
-        t_quad = q * q * num / (8.0 * math.gamma(3.0 / q) / q)
-        assert kinetic_coeff(q) == pytest.approx(t_quad, rel=1e-9)
+        assert kinetic_coeff(q) == pytest.approx(ref_kinetic(q), rel=1e-9)
 
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
@@ -73,16 +115,26 @@ class TestMomentCoeffs:
         expect = 2.0 * math.gamma(5.0 / q) / math.gamma(3.0 / q)
         assert moment_coeff(q, 2) == pytest.approx(expect, rel=1e-8)
 
-    @pytest.mark.parametrize("q", [0.7, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0])
-    def test_zeroth_moment_is_unity(self, q):
-        assert moment_coeff(q, 0) == pytest.approx(1.0, rel=1e-9)
+    @pytest.mark.parametrize(
+        "coeff",
+        [
+            kinetic_coeff,
+            lambda q: moment_coeff(q, 2),
+            lambda q: moment_coeff(q, -1),
+            inverse_square_coeff,
+        ],
+        ids=["T", "C2", "Cm1", "Cm2"],
+    )
+    @pytest.mark.parametrize("q", [0.55, 1.0, 6.0, 12.0])
+    def test_positive_and_finite_across_the_bracket(self, q, coeff):
+        val = coeff(q)
+        assert math.isfinite(val) and val > 0.0
 
     def test_gaussian_point_chi_family(self):
         # q = 2 makes the difference vector Gaussian, so every coefficient
         # is a chi/chi-square moment with unit-b per-component variance
         assert inverse_square_coeff(2.0) == pytest.approx(1.0, rel=1e-7)
         assert moment_coeff(2.0, -1) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-7)
-        assert moment_coeff(2.0, 1) == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-7)
         assert moment_coeff(2.0, 2) == pytest.approx(3.0, rel=1e-9)
 
     def test_frozen_high_precision_values(self):
@@ -110,7 +162,7 @@ class TestMomentCoeffs:
             <1/|x-y|^2> = ln((s+t)/|s-t|)/(2st)
 
         which leaves a plain sample mean over radii, sharing no code with
-        the double-exponential integrator under test.
+        the closed forms or the double-exponential integrator under test.
         """
         rng = np.random.default_rng(2026)
         n = 250_000
@@ -127,47 +179,56 @@ class TestMomentCoeffs:
             assert stderr < 0.01 * abs(coeff)
             assert abs(mean - coeff) <= 4.0 * stderr
 
-    def test_general_exponent_path_is_continuous_at_the_log_kernel(self):
-        for q in (2.0, 3.0):
-            assert moment_coeff(q, -1.999) == pytest.approx(
-                inverse_square_coeff(q), rel=2e-3
-            )
-
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="inverse_square_coeff"):
             moment_coeff(2.0, -2)
-        with pytest.raises(ValueError):
-            moment_coeff(2.0, -3.0)
+        for p in (-3.0, 0, 1, 1.5):
+            with pytest.raises(ValueError, match="p = 2 and p = -1"):
+                moment_coeff(2.0, p)
         with pytest.raises(ValueError):
             moment_coeff(0.5, 2)
         with pytest.raises(ValueError):
             inverse_square_coeff(0.4)
 
+    def test_unconverged_rule_raises_with_both_estimates(self, monkeypatch):
+        # levels 2 and 3 alone cannot agree to 1e-16, so the rule must raise
+        # rather than return (called past its per-q cache)
+        q = 5.2468
+        monkeypatch.setattr(collective_field, "_MAX_LEVEL", 3)
+        monkeypatch.setattr(collective_field, "_RTOL", 1e-16)
+        with pytest.raises(QuadratureError) as excinfo:
+            collective_field._inverse_square.__wrapped__(q)
+        monkeypatch.undo()
+        lo, hi = excinfo.value.estimates
+        assert lo != hi
+        for est in (lo, hi):
+            assert est == pytest.approx(inverse_square_coeff(q), rel=1e-6)
 
-class TestMomentTable:
-    def test_fused_table_matches_individual_calls(self):
-        q = 3.3
-        table = moment_table(q)
-        assert isinstance(table, MomentTable)
-        assert table.kinetic_T == pytest.approx(kinetic_coeff(q), rel=1e-14)
-        assert table.normalization_I == pytest.approx(math.gamma(3.0 / q) / q, rel=1e-13)
-        assert table.moment_C2 == pytest.approx(moment_coeff(q, 2), rel=1e-12)
-        assert table.moment_C1 == pytest.approx(moment_coeff(q, 1), rel=1e-12)
-        assert table.moment_Cm1 == pytest.approx(moment_coeff(q, -1), rel=1e-12)
-        assert table.moment_Cm2 == pytest.approx(inverse_square_coeff(q), rel=1e-12)
 
-    def test_entries_positive_across_the_bracket(self):
-        for q in (0.55, 1.0, 6.0, 12.0):
-            table = moment_table(q)
-            for field in (
-                "kinetic_T",
-                "normalization_I",
-                "moment_C2",
-                "moment_C1",
-                "moment_Cm1",
-                "moment_Cm2",
-            ):
-                assert getattr(table, field) > 0.0
+class TestIndependentReference:
+    """The closed forms and the C_-2 rule against adaptive quadrature."""
+
+    @pytest.mark.parametrize("q", [0.62, 1.0, 2.0, 3.3, 5.0305, 12.0])
+    def test_closed_forms_match_radial_quadrature(self, q):
+        assert moment_coeff(q, 2) == pytest.approx(ref_c2(q), rel=1e-10)
+        assert moment_coeff(q, -1) == pytest.approx(ref_cm1(q), rel=1e-10)
+
+    @pytest.mark.parametrize("q", [3.0, 4.46, 5.0305])
+    def test_inverse_square_matches_nested_quadrature(self, q):
+        assert inverse_square_coeff(q) == pytest.approx(ref_cm2(q), rel=1e-10)
+
+    def test_strong_coupling_optimum_beats_the_reference_power(self):
+        # oscillator, lam = mu = 1, v = 20: E(q) = 2 sqrt((T + v Cm2) v C2)
+        # from the reference moments alone; the reference power 4.460 gives
+        # 67.6005, and the optimize result 5.0305 lies lower
+        v = 20.0
+
+        def energy(q):
+            return 2.0 * math.sqrt((ref_kinetic(q) + v * ref_cm2(q)) * v * ref_c2(q))
+
+        assert energy(4.46) == pytest.approx(67.6005, abs=5e-5)
+        assert energy(5.0305) < energy(4.46)
+        assert energy(5.0305) == pytest.approx(67.5646, abs=5e-5)
 
 
 class TestEnergyAssembly:
@@ -319,11 +380,9 @@ class TestDelta1d:
         t1 = -res.energy * res.b_opt**2
         u1 = 2.0 * t1 / (v * res.b_opt)
 
-        norm = integrate_semi_infinite(lambda s: np.exp(-(s**q)))
-        kin = integrate_semi_infinite(
-            lambda s: q * q * s ** (2.0 * q - 2.0) * np.exp(-(s**q))
-        )
-        sq = integrate_semi_infinite(lambda s: np.exp(-2.0 * (s**q)))
+        norm = half_line(lambda s: math.exp(-(s**q)))
+        kin = half_line(lambda s: q * q * s ** (2.0 * q - 2.0) * math.exp(-(s**q)))
+        sq = half_line(lambda s: math.exp(-2.0 * (s**q)))
         assert t1 == pytest.approx(kin / (8.0 * norm), rel=1e-9)
         assert u1 == pytest.approx(sq / (2.0 * norm * norm), rel=1e-9)
 

@@ -27,14 +27,15 @@ class TestPotential:
             PotentialKind.SOFT_CORE_OSCILLATOR, 2.0, 0.5
         )
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
     def test_lam_must_be_positive(self, lam):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lam"):
             Potential.oscillator(lam, 1.0)
 
     def test_mu_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            Potential.kratzer(1.0, -0.1)
+        for mu in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="mu"):
+                Potential.kratzer(1.0, mu)
         Potential.kratzer(1.0, 0.0)  # boundary allowed
 
     def test_kind_must_be_enum(self):
@@ -50,9 +51,9 @@ class TestProblemAndSystem:
                 Problem(pot, bad, 1.0)
         Problem(pot, 3, 1.0)
 
-    @pytest.mark.parametrize("v", [0.0, -2.0])
+    @pytest.mark.parametrize("v", [0.0, -2.0, math.inf, math.nan])
     def test_v_must_be_positive(self, v):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="v must be"):
             Problem(Potential.kratzer(), 3, v)
 
     def test_physical_system_validation(self):
@@ -62,6 +63,10 @@ class TestProblemAndSystem:
             PhysicalSystem(N=2, V0=0.0)
         with pytest.raises(ValueError):
             PhysicalSystem(N=2, V0=1.0, m=-1.0)
+        for name in ("V0", "m", "a", "hbar"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    PhysicalSystem(N=2, **{"V0": 1.0, name: bad})
         phys = PhysicalSystem(N=2, V0=1.0)
         assert (phys.m, phys.a, phys.hbar) == (1.0, 1.0, 1.0)
 

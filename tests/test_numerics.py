@@ -1,8 +1,7 @@
 """Tests for the shared numerical kernels.
 
 Every quadrature assertion here is against a Gamma-function or special
-function identity evaluated through the standard library or scipy, so the
-package's own Gamma implementation is never its own referee.
+function identity evaluated through the standard library or scipy.
 """
 
 import math
@@ -14,56 +13,19 @@ from scipy.special import exp1
 from bosonbounds.numerics import (
     MinimizeResult,
     MinimizeSpec,
-    QuadratureError,
-    QuadratureSpec,
     de_nodes,
-    gamma_fn,
-    integrate_semi_infinite,
-    integrate_singular_inner,
     minimize_1d,
 )
 
 
-class TestGammaFn:
-    def test_classic_values(self):
-        assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-        # (3/2)(1/2)sqrt(pi)
-        assert gamma_fn(2.5) == pytest.approx(0.75 * math.sqrt(math.pi), rel=1e-13)
+def de_rule(f, shift=0.0, level=3):
+    """One level of the double-exponential rule on (shift, inf).
 
-    def test_integers_are_factorials(self):
-        for n in range(1, 21):
-            assert gamma_fn(float(n)) == pytest.approx(math.factorial(n - 1), rel=1e-12)
-
-    def test_agrees_with_stdlib_on_working_range(self):
-        for x in np.linspace(0.1, 60.0, 241):
-            assert gamma_fn(float(x)) == pytest.approx(math.gamma(x), rel=1e-12)
-
-    def test_recurrence_randomized(self):
-        rng = np.random.default_rng(42)
-        for x in rng.uniform(0.5, 30.0, size=200):
-            assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -7.3])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            gamma_fn(bad)
-
-
-class TestQuadratureSpec:
-    def test_defaults(self):
-        spec = QuadratureSpec()
-        assert spec.relative_tolerance == 1e-10
-        assert spec.max_refinement_levels == 6
-
-    @pytest.mark.parametrize("rtol", [1e-15, 1e-3, 0.0, -1e-8])
-    def test_tolerance_range_enforced(self, rtol):
-        with pytest.raises(ValueError):
-            QuadratureSpec(relative_tolerance=rtol)
-
-    def test_level_floor_enforced(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_refinement_levels=0)
+    The integrand receives (s, u) with s = shift + u, the shifted form the
+    soft-core pair moment uses for its inner integral.
+    """
+    u, w, _ = de_nodes(level)
+    return float(np.dot(f(shift + u, u), w))
 
 
 class TestDeNodes:
@@ -89,69 +51,51 @@ class TestDeNodes:
 
 
 class TestSemiInfinite:
+    """A single level of ``de_nodes`` on smooth half-line integrands."""
+
     def test_unit_exponential(self):
-        assert integrate_semi_infinite(lambda s: np.exp(-s)) == pytest.approx(1.0, rel=1e-10)
+        assert de_rule(lambda s, u: np.exp(-s)) == pytest.approx(1.0, rel=1e-10)
 
     def test_gaussian_second_moment(self):
-        val = integrate_semi_infinite(lambda s: s * s * np.exp(-s * s))
+        val = de_rule(lambda s, u: s * s * np.exp(-s * s))
         assert val == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-10)
 
     def test_cubic_exponential(self):
-        val = integrate_semi_infinite(lambda s: np.exp(-(s**3)))
+        val = de_rule(lambda s, u: np.exp(-(s**3)))
         assert val == pytest.approx(math.gamma(4.0 / 3.0), rel=1e-10)
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0])
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_power_weighted_moments(self, k, q):
         # s^k exp(-s^q) integrates to Gamma((k+1)/q)/q
-        val = integrate_semi_infinite(lambda s: s**k * np.exp(-(s**q)))
+        val = de_rule(lambda s, u: s**k * np.exp(-(s**q)))
         assert val == pytest.approx(math.gamma((k + 1) / q) / q, rel=1e-9)
-
-    def test_jump_integrand_raises_with_both_estimates(self):
-        # a discontinuity defeats the smoothness the refinement relies on
-        f = lambda s: np.where(s < 1.0, np.exp(-s), 0.0)
-        with pytest.raises(QuadratureError) as excinfo:
-            integrate_semi_infinite(f, QuadratureSpec(relative_tolerance=1e-12))
-        lo, hi = excinfo.value.estimates
-        assert lo != hi
-        # both straddle the true value 1 - 1/e at coarse accuracy
-        for est in (lo, hi):
-            assert est == pytest.approx(1.0 - math.exp(-1.0), rel=5e-2)
 
 
 class TestSingularInner:
+    """The shifted rule s = t + u on (t, inf), singular at the endpoint."""
+
     def test_plain_exponential_tail(self):
-        assert integrate_singular_inner(lambda s: np.exp(-s), 0.7) == pytest.approx(
+        assert de_rule(lambda s, u: np.exp(-s), 0.7) == pytest.approx(
             math.exp(-0.7), rel=1e-10
         )
 
     def test_log_endpoint_singularity(self):
         # shift u = s - 1 turns this into the classic integral of ln(u) e^(-u),
         # which equals -euler_gamma
-        val = integrate_singular_inner(lambda s, u: np.log(u) * np.exp(-s), 1.0)
+        val = de_rule(lambda s, u: np.log(u) * np.exp(-s), 1.0)
         assert val == pytest.approx(-np.euler_gamma / math.e, rel=1e-10)
 
     def test_log_ratio_kernel_against_exponential_integral(self):
         # integral over (t, inf) of ln((s+t)/(s-t)) e^(-s) ds
         #   = e^t (e^(-2t) ln(2t) + E1(2t)) + euler_gamma e^(-t)
         t = 0.6
-        val = integrate_singular_inner(lambda s, u: np.log1p(2.0 * t / u) * np.exp(-s), t)
+        val = de_rule(lambda s, u: np.log1p(2.0 * t / u) * np.exp(-s), t)
         expect = (
             math.exp(t) * (math.exp(-2 * t) * math.log(2 * t) + exp1(2 * t))
             + np.euler_gamma * math.exp(-t)
         )
         assert val == pytest.approx(expect, rel=1e-9)
-
-    def test_single_argument_form_matches_shifted_form(self):
-        t = 1.3
-        one = integrate_singular_inner(lambda s: s * np.exp(-(s**2)), t)
-        two = integrate_singular_inner(lambda s, u: s * np.exp(-(s**2)), t)
-        assert one == pytest.approx(two, rel=1e-12)
-        assert one == pytest.approx(0.5 * math.exp(-t * t), rel=1e-10)
-
-    def test_rejects_nonpositive_t(self):
-        with pytest.raises(ValueError):
-            integrate_singular_inner(lambda s: np.exp(-s), 0.0)
 
 
 class TestMinimize1d:
