@@ -16,20 +16,13 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import collective_field, radial_oracle
-from .closed_bounds import (
-    asymptotic_bounds,
-    bound_report,
-    gaussian_upper,
-    lower_bound,
-    sigma2_gaussian,
-)
+from .closed_bounds import bound_report, gaussian_upper, lower_bound
 from .model import (
     PhysicalSystem,
     Potential,
@@ -47,7 +40,10 @@ CSV_COLUMNS = CSV_HEADER.split(",")
 
 def _fmt(x) -> str:
     # shortest decimal that round-trips the double exactly
-    return repr(float(x))
+    x = float(x)
+    if not math.isfinite(x):
+        raise ArithmeticError(f"refusing to print the non-finite value {x!r}")
+    return repr(x)
 
 
 def _potential_from(args) -> Potential:
@@ -67,8 +63,6 @@ class SweepConfig:
     v_max: float
     steps: int
     include_phi: bool = False
-    out: Optional[str] = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if not (math.isfinite(self.v_max) and 0.0 < self.v_min < self.v_max):
@@ -77,45 +71,17 @@ class SweepConfig:
             )
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt!r}")
-
-
-def _sweep_row(config: SweepConfig, v: float) -> dict:
-    prob = Problem(config.potential, config.d, v)
-    row = {
-        "v": v,
-        "F2_lower": lower_bound(prob),
-        "FG_upper": gaussian_upper(prob),
-        "Fphi_upper": None,
-        "q_opt": None,
-        "b_opt": None,
-        "sigma2": sigma2_gaussian(prob),
-    }
-    if config.include_phi:
-        res = collective_field.optimize(prob)
-        row["Fphi_upper"] = res.energy
-        row["q_opt"] = res.q_opt
-        row["b_opt"] = res.b_opt
-    return row
 
 
 def sweep_rows(config: SweepConfig) -> list:
-    """All sweep rows in ascending v, each checked against the bound chain."""
+    """All sweep rows in ascending v, each from the checked ``bound_report``."""
     step = (config.v_max - config.v_min) / (config.steps - 1)
-    vs = [config.v_min + i * step for i in range(config.steps)]
-    # rows are independent; the C_-2 values are cached per q and shared
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(lambda v: _sweep_row(config, v), vs))
-    for row in rows:
-        cushion = 1e-9 * max(1.0, abs(row["FG_upper"]))
-        chain_ok = row["F2_lower"] <= row["FG_upper"] + cushion
-        if row["Fphi_upper"] is not None:
-            chain_ok = chain_ok and (
-                row["F2_lower"] - cushion <= row["Fphi_upper"] <= row["FG_upper"] + cushion
-            )
-        if not chain_ok:
-            raise RuntimeError(f"bound ordering violated at v={row['v']!r}: {row!r}")
+    rows = []
+    for i in range(config.steps):
+        v = config.v_min + i * step
+        r = bound_report(Problem(config.potential, config.d, v), config.include_phi)
+        values = (v, r.lower, r.upper_gaussian, r.upper_phi, r.q_opt, r.b_opt, r.sigma2)
+        rows.append(dict(zip(CSV_COLUMNS, values)))
     return rows
 
 
@@ -162,14 +128,12 @@ def cmd_sweep(args) -> int:
         v_max=args.v_max,
         steps=args.steps,
         include_phi=args.phi,
-        out=args.out,
-        fmt=args.format,
     )
     rows = sweep_rows(config)
-    if config.fmt == "csv":
-        _emit(_render_csv(rows), config.out)
+    if args.format == "csv":
+        _emit(_render_csv(rows), args.out)
     else:
-        _emit(_render_json(config, rows), config.out)
+        _emit(_render_json(config, rows), args.out)
     return 0
 
 
@@ -210,9 +174,8 @@ def cmd_physical(args) -> int:
         print(f"delta F_N(v)    : {_fmt(e_dimless)}")
         print(f"physical energy : {_fmt(recover_energy(phys, e_dimless))}")
         return 0
-    prob = Problem(_potential_from(args), args.d, v)
-    lo = lower_bound(prob)
-    hi = gaussian_upper(prob)
+    report = bound_report(Problem(_potential_from(args), args.d, v))
+    lo, hi = report.lower, report.upper_gaussian
     print(f"F2 lower        : {_fmt(lo)}")
     print(f"FG upper        : {_fmt(hi)}")
     print(f"physical window : [{_fmt(recover_energy(phys, lo))}, {_fmt(recover_energy(phys, hi))}]")

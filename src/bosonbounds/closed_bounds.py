@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import collective_field
 from .model import Potential, PotentialKind, Problem
 
 __all__ = [
@@ -132,11 +133,15 @@ class BoundReport:
 
 
 def bound_report(prob: Problem, include_phi: bool = False) -> BoundReport:
-    """Aggregate every bound for one problem.
+    """Aggregate every bound for one problem and check the bound chain.
 
     With ``include_phi`` the variational collective-field upper bound is
     computed as well (numerical optimization over the trial density family;
     d = 3 only, errors propagate from that module).
+
+    Raises ``RuntimeError`` unless every reported number is finite and
+    F2 <= FG, and F2 <= Fphi <= FG with ``include_phi``, each within a
+    cushion of 1e-9 * max(1, |FG|).
     """
     if prob.potential.mu > 0.0:
         asym_lo, asym_up = asymptotic_bounds(prob)
@@ -144,11 +149,9 @@ def bound_report(prob: Problem, include_phi: bool = False) -> BoundReport:
         asym_lo = asym_up = None
     phi = q_opt = b_opt = None
     if include_phi:
-        from . import collective_field
-
         res = collective_field.optimize(prob)
         phi, q_opt, b_opt = res.energy, res.q_opt, res.b_opt
-    return BoundReport(
+    report = BoundReport(
         lower=lower_bound(prob),
         upper_gaussian=gaussian_upper(prob),
         sigma2=sigma2_gaussian(prob),
@@ -158,3 +161,10 @@ def bound_report(prob: Problem, include_phi: bool = False) -> BoundReport:
         q_opt=q_opt,
         b_opt=b_opt,
     )
+    if not all(math.isfinite(x) for x in vars(report).values() if x is not None):
+        raise RuntimeError(f"non-finite bound at v={prob.v!r}: {report!r}")
+    lo, hi = report.lower, report.upper_gaussian
+    cushion = 1e-9 * max(1.0, abs(hi))
+    if not (lo <= hi + cushion and (phi is None or lo - cushion <= phi <= hi + cushion)):
+        raise RuntimeError(f"bound ordering violated at v={prob.v!r}: {report!r}")
+    return report

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .model import PotentialKind, Problem
-from .numerics import MinimizeSpec, QuadratureError, de_nodes, minimize_1d
+from .numerics import QuadratureError, de_nodes, minimize_1d
 
 __all__ = [
     "TrialDensity",
@@ -52,7 +52,7 @@ logger = logging.getLogger(__name__)
 
 # q search bracket: reported optima live in roughly [2, 5]; the wide
 # bracket guards against edge optima while respecting q > 1/2.
-_Q_LO, _Q_HI = 0.6, 12.0
+_Q_LO, _Q_HI = 0.62, 12.0
 
 # C_-2 is accepted once two successive quadrature levels agree to _RTOL
 _RTOL = 1e-10
@@ -71,10 +71,9 @@ class TrialDensity:
     q: float
 
     def __post_init__(self):
-        if not self.b > 0.0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if not self.q > 0.5:
-            raise ValueError(f"q must exceed 1/2, got {self.q}")
+        if not (math.isfinite(self.b) and self.b > 0.0):
+            raise ValueError(f"b must be positive and finite, got {self.b}")
+        _require_q(self.q)
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ class PhiResult:
 
 
 def _require_q(q: float):
-    if not q > 0.5:
-        raise ValueError(f"q must exceed 1/2, got {q}")
+    if not (math.isfinite(q) and q > 0.5):
+        raise ValueError(f"q must be finite and exceed 1/2, got {q}")
 
 
 def _require_d3(prob: Problem):
@@ -279,13 +278,13 @@ def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
 # one coarse scan grid shared by every optimize call; the moments along it
 # do not depend on v, so the scan is nearly free after the first row of a
 # sweep (per-q results are cached)
-_SCAN_Q = tuple(float(q) for q in np.linspace(0.62, _Q_HI, 32))
+_SCAN_Q = tuple(float(q) for q in np.linspace(_Q_LO, _Q_HI, 32))
 
 
-def optimize(prob: Problem, spec: Optional[MinimizeSpec] = None) -> PhiResult:
+def optimize(prob: Problem) -> PhiResult:
     """Minimize the scale-reduced energy over the power q (d = 3).
 
-    A 32-point scan over the bracket (0.6, 12] locates the valley and flags
+    A 32-point scan over the bracket [0.62, 12] locates the valley and flags
     multiple local minima (logged as a warning; the energy curves seen in
     practice are unimodal in q), then golden-section/parabolic refinement
     polishes the minimizer.
@@ -309,9 +308,7 @@ def optimize(prob: Problem, spec: Optional[MinimizeSpec] = None) -> PhiResult:
     i0 = int(np.argmin(scan))
     lo = _SCAN_Q[max(i0 - 1, 0)]
     hi = _SCAN_Q[min(i0 + 1, len(_SCAN_Q) - 1)]
-    if spec is None:
-        spec = MinimizeSpec(bracket_low=lo, bracket_high=hi, tolerance=1e-8)
-    res = minimize_1d(lambda q: minimize_scale(prob, q)[1], spec)
+    res = minimize_1d(lambda q: minimize_scale(prob, q)[1], lo, hi, 1e-8)
     b_opt, energy = minimize_scale(prob, res.x_min)
     return PhiResult(energy=energy, q_opt=res.x_min, b_opt=b_opt, converged=res.converged)
 
@@ -346,8 +343,8 @@ def delta_1d_phi(v: float, q: Optional[float] = None) -> PhiResult:
     is exactly -v**2/(2*pi); the full optimum sits near q = 1.612.  The
     energy scales exactly as v**2.
     """
-    if v <= 0.0:
-        raise ValueError(f"v must be positive, got {v}")
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"v must be positive and finite, got {v}")
 
     def scale_min(qq: float) -> tuple:
         t1, u1 = _delta_coeffs(qq)
@@ -356,7 +353,6 @@ def delta_1d_phi(v: float, q: Optional[float] = None) -> PhiResult:
     if q is not None:
         b_opt, energy = scale_min(q)
         return PhiResult(energy=energy, q_opt=q, b_opt=b_opt, converged=True)
-    spec = MinimizeSpec(bracket_low=_Q_LO + 0.02, bracket_high=_Q_HI, tolerance=1e-10)
-    res = minimize_1d(lambda qq: scale_min(qq)[1], spec)
+    res = minimize_1d(lambda qq: scale_min(qq)[1], _Q_LO, _Q_HI, 1e-10)
     b_opt, energy = scale_min(res.x_min)
     return PhiResult(energy=energy, q_opt=res.x_min, b_opt=b_opt, converged=res.converged)

@@ -97,8 +97,8 @@ class PhysicalSystem:
 
 def potential_value(pot: Potential, r: float) -> float:
     """Evaluate the shape f at radius r > 0."""
-    if r <= 0.0:
-        raise ValueError(f"potential_value requires r > 0, got {r}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ValueError(f"potential_value requires finite r > 0, got {r}")
     if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
         return pot.lam * r * r + pot.mu / (r * r)
     return -pot.lam / r + pot.mu / (r * r)
@@ -123,8 +123,11 @@ def minimum_point(pot: Potential) -> tuple[float, float]:
 
 
 def dimensionless_coupling(phys: PhysicalSystem) -> float:
-    """v = N*m*V0*a^2 / (2*hbar^2)."""
-    return phys.N * phys.m * phys.V0 * phys.a * phys.a / (2.0 * phys.hbar * phys.hbar)
+    """v = N*m*V0*a^2 / (2*hbar^2); raises ValueError if it overflows."""
+    v = phys.N * phys.m * phys.V0 * phys.a * phys.a / (2.0 * phys.hbar * phys.hbar)
+    if not math.isfinite(v):
+        raise ValueError(f"coupling v = N*m*V0*a^2/(2*hbar^2) is not finite, got {v}")
+    return v
 
 
 def recover_energy(phys: PhysicalSystem, E: float) -> float:
@@ -138,8 +141,8 @@ def delta_exact_energy(N, v: float) -> float:
     F_N(v) = -(1/6)*(1 + 1/N)*v**2 for integer N >= 2; N = math.inf gives
     the large-N limit -v**2/6.
     """
-    if v <= 0.0:
-        raise ValueError(f"v must be positive, got {v}")
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"v must be positive and finite, got {v}")
     if N == math.inf:
         return -v * v / 6.0
     if not isinstance(N, int) or N < 2:
@@ -155,7 +158,7 @@ def classical_floor(pot: Potential, N: int, V0: float) -> float:
     """
     if not isinstance(N, int) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
-    if V0 < 0.0:
-        raise ValueError(f"V0 must be non-negative, got {V0}")
+    if not (math.isfinite(V0) and V0 >= 0.0):
+        raise ValueError(f"V0 must be non-negative and finite, got {V0}")
     _, f_hat = minimum_point(pot)
     return 0.5 * N * (N - 1) * V0 * f_hat

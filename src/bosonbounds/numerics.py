@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "MinimizeSpec",
     "MinimizeResult",
     "QuadratureError",
     "de_nodes",
@@ -78,67 +77,50 @@ def de_nodes(level: int):
 
 
 @dataclass(frozen=True)
-class MinimizeSpec:
-    """Bracket and stopping rule for minimize_1d."""
-
-    bracket_low: float
-    bracket_high: float
-    tolerance: float = 1e-8
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not self.bracket_low < self.bracket_high:
-            raise ValueError("bracket_low must be < bracket_high")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass(frozen=True)
 class MinimizeResult:
     x_min: float
     f_min: float
     converged: bool
     iterations: int
 
-    def __iter__(self):
-        # supports the documented (x_min, f_min) unpacking
-        yield self.x_min
-        yield self.f_min
-
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_ITERATIONS = 200
 
 
-def minimize_1d(f, spec: MinimizeSpec) -> MinimizeResult:
-    """Minimize a unimodal function on a bracket.
+def minimize_1d(f, lo: float, hi: float, tol: float) -> MinimizeResult:
+    """Minimize a unimodal function on the bracket [lo, hi].
 
     Golden-section search with parabolic acceleration (Brent's method).
     Unimodality is assumed, not verified; for a multimodal f the result is
-    the best point the search visited.  If the iteration budget runs out
-    the best sample so far is returned with ``converged`` False.
+    the best point the search visited.  If 200 iterations do not meet the
+    tolerance the best sample so far is returned with ``converged`` False.
 
     Parameters
     ----------
     f : callable
         Scalar objective.
-    spec : MinimizeSpec
-        Bracket, tolerance on the minimizer location, iteration cap.
+    lo, hi : float
+        Finite bracket, lo < hi.
+    tol : float
+        Relative tolerance on the minimizer location, > 0.
 
     Returns
     -------
     MinimizeResult
-        Fields x_min, f_min, converged, iterations.  Iterating the result
-        yields (x_min, f_min).
+        Fields x_min, f_min, converged, iterations.
     """
-    a, b = spec.bracket_low, spec.bracket_high
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need a finite bracket lo < hi, got [{lo}, {hi}]")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    a, b = lo, hi
     x = w = v = a + _GOLDEN * (b - a)
     fx = fw = fv = f(x)
     d = e = 0.0
-    for it in range(1, spec.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         m = 0.5 * (a + b)
-        tol1 = spec.tolerance * max(1.0, abs(x))
+        tol1 = tol * max(1.0, abs(x))
         tol2 = 2.0 * tol1
         if abs(x - m) <= tol2 - 0.5 * (b - a):
             return MinimizeResult(x, fx, True, it)
@@ -180,4 +162,4 @@ def minimize_1d(f, spec: MinimizeSpec) -> MinimizeResult:
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return MinimizeResult(x, fx, False, spec.max_iterations)
+    return MinimizeResult(x, fx, False, _MAX_ITERATIONS)

@@ -13,7 +13,15 @@ import sys
 
 import pytest
 
-from bosonbounds.cli import CSV_HEADER, main
+from bosonbounds import Potential, PhiResult, Problem, bound_report, collective_field
+from bosonbounds.cli import CSV_HEADER, SweepConfig, main, sweep_rows
+
+
+def src_env():
+    """The environment with PYTHONPATH set to the source tree under test."""
+    import bosonbounds
+
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bosonbounds.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +69,15 @@ class TestBounds:
         assert float(fields["F2 lower"]) <= phi <= float(fields["FG upper"])
         assert float(fields["q_opt"]) == pytest.approx(2.8587, abs=1e-3)
         assert float(fields["b_opt"]) > 0.0
+
+    def test_phi_above_the_gaussian_bound_is_a_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            collective_field, "optimize", lambda prob: PhiResult(1e3, 2.5, 1.0, True)
+        )
+        code, out, err = run_cli(capsys, "bounds", "--v", "2", "--phi")
+        assert code == 1
+        assert out == ""
+        assert "bound ordering violated" in err
 
 
 class TestSweep:
@@ -126,6 +143,20 @@ class TestSweep:
         data = target.read_bytes()
         assert b"\r" not in data
         assert data.decode("utf-8") == expected
+
+    def test_rows_are_the_bound_reports(self):
+        pot = Potential.kratzer(1.3, 0.6)
+        rows = sweep_rows(SweepConfig(pot, 3, 2.0, 8.0, 3, include_phi=True))
+        for row in rows:
+            report = bound_report(Problem(pot, 3, row["v"]), include_phi=True)
+            assert (
+                row["F2_lower"], row["FG_upper"], row["Fphi_upper"],
+                row["q_opt"], row["b_opt"], row["sigma2"],
+            ) == (
+                report.lower, report.upper_gaussian, report.upper_phi,
+                report.q_opt, report.b_opt, report.sigma2,
+            )
+        assert [row["v"] for row in rows] == [2.0, 5.0, 8.0]
 
     def test_invalid_range_is_a_usage_error(self, capsys):
         code, _, err = run_cli(
@@ -216,11 +247,26 @@ class TestUsageErrors:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--v", "1e300", "--potential", "kratzer"),
+            ("bounds", "--v", "1e200"),
+            ("physical", "--N", "1000", "--V0", "1e308", "--delta"),
+            ("physical", "--N", "1000", "--V0", "1e300", "--delta"),
+        ],
+    )
+    def test_overflow_exits_nonzero_without_printing_it(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code != 0
+        assert "inf" not in out and "nan" not in out
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bosonbounds.cli", "bounds", "--v", "1", "--mu", "0"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert "F2 lower" in proc.stdout
@@ -230,9 +276,6 @@ class TestImport:
     def test_package_import_leaves_scipy_submodules_unloaded(self):
         # scipy.linalg and scipy.special are imported where they are used,
         # which keeps them out of the start-up time of every command
-        import bosonbounds
-
-        src = os.path.dirname(os.path.dirname(bosonbounds.__file__))
         code = (
             "import sys, bosonbounds; "
             "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
@@ -241,7 +284,7 @@ class TestImport:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=src),
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

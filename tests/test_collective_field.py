@@ -30,7 +30,7 @@ from bosonbounds import (
     optimize,
 )
 from bosonbounds import collective_field
-from bosonbounds.numerics import MinimizeSpec, QuadratureError, minimize_1d
+from bosonbounds.numerics import QuadratureError, minimize_1d
 
 
 def osc(lam=1.0, mu=1.0, v=1.0, d=3):
@@ -95,17 +95,18 @@ class TestKineticCoeff:
         assert kinetic_coeff(q) == pytest.approx(ref_kinetic(q), rel=1e-9)
 
     def test_rejects_small_q(self):
-        with pytest.raises(ValueError):
-            kinetic_coeff(0.5)
+        for q in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                kinetic_coeff(q)
 
 
 class TestTrialDensity:
     def test_validation(self):
         TrialDensity(1.0, 0.51)
-        with pytest.raises(ValueError):
-            TrialDensity(0.0, 2.0)
-        with pytest.raises(ValueError):
-            TrialDensity(1.0, 0.5)
+        bad = [(0.0, 2.0), (1.0, 0.5), (math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan), (1.0, math.inf)]
+        for b, q in bad:
+            with pytest.raises(ValueError):
+                TrialDensity(b, q)
 
 
 class TestMomentCoeffs:
@@ -257,7 +258,9 @@ class TestEnergyAssembly:
             b_opt, energy = minimize_scale(prob, q)
             res = minimize_1d(
                 lambda y: energy_at(prob, TrialDensity(math.exp(y), q)),
-                MinimizeSpec(math.log(b_opt) - 1.0, math.log(b_opt) + 1.0, tolerance=1e-10),
+                math.log(b_opt) - 1.0,
+                math.log(b_opt) + 1.0,
+                1e-10,
             )
             assert res.f_min == pytest.approx(energy, rel=1e-8)
             assert math.exp(res.x_min) == pytest.approx(b_opt, rel=1e-5)
@@ -387,7 +390,6 @@ class TestDelta1d:
         assert u1 == pytest.approx(sq / (2.0 * norm * norm), rel=1e-9)
 
     def test_rejects_nonpositive_coupling(self):
-        with pytest.raises(ValueError):
-            delta_1d_phi(0.0)
-        with pytest.raises(ValueError):
-            delta_1d_phi(-1.0)
+        for v in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                delta_1d_phi(v)

@@ -77,7 +77,7 @@ class TestPotentialValue:
         assert potential_value(Potential.kratzer(), 1.0) == pytest.approx(0.0, abs=1e-15)
         assert potential_value(Potential.kratzer(), 2.0) == pytest.approx(-0.25)
 
-    @pytest.mark.parametrize("r", [0.0, -1.0])
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_radius(self, r):
         with pytest.raises(ValueError):
             potential_value(Potential.oscillator(), r)
@@ -179,6 +179,9 @@ class TestDeltaExactEnergy:
             delta_exact_energy(2, 0.0)
         with pytest.raises(ValueError):
             delta_exact_energy(math.inf, -1.0)
+        for v in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                delta_exact_energy(5, v)
 
 
 class TestClassicalFloor:
@@ -197,5 +200,6 @@ class TestClassicalFloor:
             classical_floor(Potential.kratzer(1.0, 0.0), 2, 1.0)
         with pytest.raises(ValueError):
             classical_floor(Potential.oscillator(), 1, 1.0)
-        with pytest.raises(ValueError):
-            classical_floor(Potential.oscillator(), 2, -1.0)
+        for V0 in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                classical_floor(Potential.oscillator(), 2, V0)

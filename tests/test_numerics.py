@@ -10,12 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from bosonbounds.numerics import (
-    MinimizeResult,
-    MinimizeSpec,
-    de_nodes,
-    minimize_1d,
-)
+from bosonbounds import numerics
+from bosonbounds.numerics import de_nodes, minimize_1d
 
 
 def de_rule(f, shift=0.0, level=3):
@@ -100,46 +96,36 @@ class TestSingularInner:
 
 class TestMinimize1d:
     def test_quadratic(self):
-        res = minimize_1d(lambda x: (x - 2.0) ** 2, MinimizeSpec(0.0, 5.0))
+        res = minimize_1d(lambda x: (x - 2.0) ** 2, 0.0, 5.0, 1e-8)
         assert res.converged
         assert res.x_min == pytest.approx(2.0, abs=1e-6)
         assert res.f_min == pytest.approx(0.0, abs=1e-12)
 
     def test_am_gm_minimum(self):
-        x_min, f_min = minimize_1d(lambda x: x + 1.0 / x, MinimizeSpec(0.1, 10.0))
-        assert x_min == pytest.approx(1.0, abs=1e-6)
-        assert f_min == pytest.approx(2.0, abs=1e-10)
-
-    def test_result_unpacks_as_pair(self):
-        res = minimize_1d(lambda x: x * x, MinimizeSpec(-1.0, 2.0))
-        assert isinstance(res, MinimizeResult)
-        x, f = res
-        assert x == res.x_min and f == res.f_min
+        res = minimize_1d(lambda x: x + 1.0 / x, 0.1, 10.0, 1e-8)
+        assert res.x_min == pytest.approx(1.0, abs=1e-6)
+        assert res.f_min == pytest.approx(2.0, abs=1e-10)
 
     def test_reparameterization_invariance(self):
         f = lambda x: (x - 3.0) ** 2 + 0.5 * x
-        direct = minimize_1d(f, MinimizeSpec(0.5, 8.0, tolerance=1e-10))
-        logged = minimize_1d(
-            lambda y: f(math.exp(y)),
-            MinimizeSpec(math.log(0.5), math.log(8.0), tolerance=1e-10),
-        )
+        direct = minimize_1d(f, 0.5, 8.0, 1e-10)
+        logged = minimize_1d(lambda y: f(math.exp(y)), math.log(0.5), math.log(8.0), 1e-10)
         assert math.exp(logged.x_min) == pytest.approx(direct.x_min, abs=1e-6)
         assert logged.f_min == pytest.approx(direct.f_min, rel=1e-12)
 
-    def test_budget_exhaustion_returns_best_so_far(self):
-        res = minimize_1d(
-            lambda x: (x - 2.0) ** 2,
-            MinimizeSpec(0.0, 5.0, tolerance=1e-12, max_iterations=3),
-        )
+    def test_budget_exhaustion_returns_best_so_far(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAX_ITERATIONS", 3)
+        res = minimize_1d(lambda x: (x - 2.0) ** 2, 0.0, 5.0, 1e-12)
         assert not res.converged
         assert res.iterations == 3
         # still a sensible point inside the bracket
         assert 0.0 <= res.x_min <= 5.0
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            MinimizeSpec(2.0, 1.0)
-        with pytest.raises(ValueError):
-            MinimizeSpec(0.0, 1.0, tolerance=0.0)
-        with pytest.raises(ValueError):
-            MinimizeSpec(0.0, 1.0, max_iterations=0)
+    def test_bracket_and_tolerance_validation(self):
+        f = lambda x: x * x
+        for lo, hi in ((2.0, 1.0), (1.0, 1.0), (math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="bracket"):
+                minimize_1d(f, lo, hi, 1e-8)
+        for tol in (0.0, -1e-8, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                minimize_1d(f, 0.0, 1.0, tol)
