@@ -39,7 +39,7 @@ from .model import (
     potential_value,
     recover_energy,
 )
-from .radial_oracle import Mesh, default_mesh, ground_energy
+from .radial_oracle import ground_energy
 
 __version__ = "1.0.0"
 
@@ -72,7 +72,5 @@ __all__ = [
     "minimize_scale",
     "optimize",
     "delta_1d_phi",
-    "Mesh",
-    "default_mesh",
     "ground_energy",
 ]

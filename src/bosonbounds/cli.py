@@ -240,7 +240,7 @@ def _checks_oracle():
     for kind in ("oscillator", "kratzer"):
         worst = 0.0
         for lam in (0.5, 2.0):
-            for mu in (0.5, 2.0):
+            for mu in (0.0, 0.05, 0.5, 2.0):
                 for v in (1.0, 10.0):
                     for d in (3, 5):
                         prob = Problem(Potential(PotentialKind(kind), lam, mu), d, v)

@@ -194,7 +194,7 @@ def test_criterion_07_eigensolver_agreement_grid():
     errors = []
     n = 400
     for _ in range(3):
-        errors.append(abs(_lowest_eigenvalue(prob, 1e-9, 12.0, n) - 3.0))
+        errors.append(abs(_lowest_eigenvalue(prob, 12.0, n) - 3.0))
         n = 2 * n + 1
     ratios = (errors[0] / errors[1], errors[1] / errors[2])
     order_two = all(3.5 < r < 4.5 for r in ratios)

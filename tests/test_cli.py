@@ -209,6 +209,13 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS") == 3
 
+    def test_oracle_group_passes(self, capsys):
+        # the grid includes the core-free and weak-core rows
+        code, out, _ = run_cli(capsys, "verify", "--only", "oracle")
+        assert code == 0
+        assert out.count("PASS") == 2
+        assert "all checks passed" in out
+
     def test_calibration_group_reports_the_known_discrepancy(self, capsys):
         # the reference power for the oscillator at v = 20 is not where the
         # functional's minimum actually sits, so this one check fails by

@@ -7,47 +7,11 @@ claims.
 """
 
 import itertools
-import math
 
 import pytest
 
-from bosonbounds import Potential, Problem, gaussian_upper, lower_bound
-from bosonbounds.model import minimum_point
-from bosonbounds.radial_oracle import (
-    Mesh,
-    _lowest_eigenvalue,
-    default_mesh,
-    ground_energy,
-)
-
-
-class TestMesh:
-    def test_validation(self):
-        Mesh(1e-4, 10.0, 200)
-        with pytest.raises(ValueError):
-            Mesh(0.0, 10.0, 400)
-        with pytest.raises(ValueError):
-            Mesh(-1e-3, 10.0, 400)
-        with pytest.raises(ValueError):
-            Mesh(5.0, 5.0, 400)
-        with pytest.raises(ValueError):
-            Mesh(6.0, 5.0, 400)
-        with pytest.raises(ValueError):
-            Mesh(1e-4, 10.0, 199)
-
-    def test_default_mesh_tracks_problem_scales(self):
-        prob = Problem(Potential.oscillator(1.0, 1.0), 3, 2.0)
-        mesh = default_mesh(prob)
-        r_hat, _ = minimum_point(prob.potential)
-        assert mesh.r_min == pytest.approx(1e-4 * r_hat, rel=1e-12)
-        assert mesh.r_max > 10.0 * r_hat
-        assert mesh.n_points == 4000
-
-    def test_default_mesh_without_soft_core(self):
-        # no interior minimum to anchor r_min, falls back to the size scale
-        mesh = default_mesh(Problem(Potential.oscillator(1.0, 0.0), 3, 1.0))
-        assert 0.0 < mesh.r_min < 1e-3
-        assert mesh.r_max / mesh.r_min == pytest.approx(20.0 / 1e-4, rel=1e-12)
+from bosonbounds import Potential, Problem, gaussian_upper, lower_bound, radial_oracle
+from bosonbounds.radial_oracle import _lowest_eigenvalue, ground_energy
 
 
 class TestReferenceEnergies:
@@ -72,25 +36,27 @@ class TestConvergence:
         errors = []
         n = 400
         for _ in range(3):
-            e = _lowest_eigenvalue(prob, 1e-9, 12.0, n)
+            e = _lowest_eigenvalue(prob, 12.0, n)
             errors.append(abs(e - 3.0))
             n = 2 * n + 1
         assert 3.5 < errors[0] / errors[1] < 4.5
         assert 3.5 < errors[1] / errors[2] < 4.5
 
-    def test_outer_wall_is_far_enough(self):
+    def test_outer_wall_is_far_enough(self, monkeypatch):
         prob = Problem(Potential.kratzer(1.0, 1.0), 3, 2.0)
-        e1 = ground_energy(prob, Mesh(1e-5, 40.0, 4000))
-        e2 = ground_energy(prob, Mesh(1e-5, 80.0, 8000))
+        e1 = ground_energy(prob)
+        monkeypatch.setattr(radial_oracle, "_R_MAX_SIZES", 2.0 * radial_oracle._R_MAX_SIZES)
+        monkeypatch.setattr(radial_oracle, "_N_INTERIOR", 2 * radial_oracle._N_INTERIOR)
+        e2 = ground_energy(prob)
         assert abs(e1 - e2) < 1e-8
 
-    def test_refuses_a_mesh_it_cannot_converge_on(self):
-        # a weak soft core leaves a slowly decaying fractional-power error
-        # at the inner wall; starting from 200 nodes the refinement budget
-        # runs out before two extrapolated values agree
+    def test_refuses_a_mesh_it_cannot_converge_on(self, monkeypatch):
+        # an agreement no finite mesh reaches: the refinement budget runs
+        # out and the solver raises rather than return the last estimate
+        monkeypatch.setattr(radial_oracle, "_REFINE_RTOL", 1e-16)
         prob = Problem(Potential.oscillator(1.0, 0.05), 3, 1.0)
         with pytest.raises(RuntimeError, match="mesh too coarse"):
-            ground_energy(prob, Mesh(1e-6, 25.0, 200))
+            ground_energy(prob)
 
 
 class TestAgreementWithClosedForms:
@@ -99,7 +65,7 @@ class TestAgreementWithClosedForms:
         make = getattr(Potential, kind)
         worst = 0.0
         for lam, mu, v, d in itertools.product(
-            (0.5, 1.0, 2.0), (0.5, 1.0, 2.0), (1.0, 2.0, 10.0), (3, 5)
+            (0.5, 1.0, 2.0), (0.0, 0.05, 0.5, 1.0, 2.0), (1.0, 2.0, 10.0), (3, 5)
         ):
             prob = Problem(make(lam, mu), d, v)
             exact = lower_bound(prob)
