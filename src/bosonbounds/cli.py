@@ -174,7 +174,7 @@ def cmd_physical(args) -> int:
         print(f"delta F_N(v)    : {_fmt(e_dimless)}")
         print(f"physical energy : {_fmt(recover_energy(phys, e_dimless))}")
         return 0
-    report = bound_report(Problem(_potential_from(args), args.d, v))
+    report = bound_report(Problem(_potential_from(args), args.d, v), window_only=True)
     lo, hi = report.lower, report.upper_gaussian
     print(f"F2 lower        : {_fmt(lo)}")
     print(f"FG upper        : {_fmt(hi)}")

@@ -119,12 +119,12 @@ class BoundReport:
     ``upper_phi``, ``q_opt`` and ``b_opt`` are filled only when the
     collective-field bound was requested (d = 3 only); the asymptote
     coefficients are None when mu = 0, where no linear large-v regime
-    exists.
+    exists, and with sigma2 when only the energy window was requested.
     """
 
     lower: float
     upper_gaussian: float
-    sigma2: float
+    sigma2: Optional[float]
     asymptote_lower: Optional[float]
     asymptote_upper: Optional[float]
     upper_phi: Optional[float] = None
@@ -132,21 +132,24 @@ class BoundReport:
     b_opt: Optional[float] = None
 
 
-def bound_report(prob: Problem, include_phi: bool = False) -> BoundReport:
+def bound_report(prob: Problem, include_phi: bool = False, window_only: bool = False) -> BoundReport:
     """Aggregate every bound for one problem and check the bound chain.
 
     With ``include_phi`` the variational collective-field upper bound is
     computed as well (numerical optimization over the trial density family;
-    d = 3 only, errors propagate from that module).
+    d = 3 only, errors propagate from that module).  With ``window_only``
+    sigma2 and the asymptotes are left None, unchecked, for callers that
+    print only the energy window (sigma2 overflows at tiny Kratzer v).
 
     Raises ``RuntimeError`` unless every reported number is finite and
     F2 <= FG, and F2 <= Fphi <= FG with ``include_phi``, each within a
     cushion of 1e-9 * max(1, |FG|).
     """
-    if prob.potential.mu > 0.0:
-        asym_lo, asym_up = asymptotic_bounds(prob)
-    else:
-        asym_lo = asym_up = None
+    sigma2 = asym_lo = asym_up = None
+    if not window_only:
+        sigma2 = sigma2_gaussian(prob)
+        if prob.potential.mu > 0.0:
+            asym_lo, asym_up = asymptotic_bounds(prob)
     phi = q_opt = b_opt = None
     if include_phi:
         res = collective_field.optimize(prob)
@@ -154,7 +157,7 @@ def bound_report(prob: Problem, include_phi: bool = False) -> BoundReport:
     report = BoundReport(
         lower=lower_bound(prob),
         upper_gaussian=gaussian_upper(prob),
-        sigma2=sigma2_gaussian(prob),
+        sigma2=sigma2,
         asymptote_lower=asym_lo,
         asymptote_upper=asym_up,
         upper_phi=phi,

@@ -12,12 +12,11 @@ to dimensionless coefficients times powers of the scale b:
     <KE> = T(q)/b**2,   <r**p> = C_p(q) * b**p
 
 so minimization over b is analytic and only the power q is optimized
-numerically.  T(q), C_2(q) and C_-1(q) have closed forms (Gamma ratios and
-a regularized incomplete beta function).  The soft-core moment C_-2(q) has
-a logarithmic kernel, integrable but singular on the diagonal s = t, and is
-the one double radial integral left; it is evaluated with the
-double-exponential rule from ``numerics``, refined level by level until two
-levels agree.
+numerically.  T(q) and C_2(q) are Gamma ratios.  For C_-1(q) and the
+soft-core moment C_-2(q) the substitution t = x*s between the two radii
+turns the double radial integral into a Gamma function times one integral
+over x in (0, 1); it is evaluated with the tanh-sinh rule from
+``numerics``, refined level by level until two levels agree.
 
 The 1-D delta-interaction model used for calibration lives here too: its
 functional on the same family is fully closed-form.
@@ -34,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .model import PotentialKind, Problem
-from .numerics import QuadratureError, de_nodes, minimize_1d
+from .numerics import QuadratureError, minimize_1d, tanh_sinh_nodes
 
 __all__ = [
     "TrialDensity",
@@ -54,9 +53,10 @@ logger = logging.getLogger(__name__)
 # bracket guards against edge optima while respecting q > 1/2.
 _Q_LO, _Q_HI = 0.62, 12.0
 
-# C_-2 is accepted once two successive quadrature levels agree to _RTOL
+# C_-1 and C_-2 are accepted once two successive levels of the (0, 1) rule
+# agree to _RTOL
 _RTOL = 1e-10
-_MAX_LEVEL = 6
+_MIN_LEVEL, _MAX_LEVEL = 3, 6
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,17 @@ def kinetic_coeff(q: float) -> float:
 # ---------------------------------------------------------------------------
 # Pair moments of two independent unit-scale draws with radii s, t
 #
-# * C_2 = <|r - r'|**2> = 2 <r**2>, a Gamma ratio.
-# * C_-1: by the shell theorem the angular average of 1/|r - r'| is
-#   1/max(s, t); with s**q, t**q Gamma(3/q) variables, E[1/max] reduces to
-#   a regularized incomplete beta function at 1/2 (DLMF 8.17).
-# * C_-2 = (1/I**2) Int_0^inf dt w(t) t Int_t^inf ds w(s) s ln((s+t)/(s-t))
-#   has no such reduction.  The inner integral runs in u = s - t, putting
-#   the log singularity at the endpoint u = 0 where the double-exponential
-#   transform damps it, and log1p(2t/u) takes u exactly as the rule
-#   produced it, avoiding the cancellation of recomputing s - t.
+# C_2 = <|r - r'|**2> = 2 <r**2> is a Gamma ratio.  For C_-1 and C_-2 the
+# shell averages 1/max(s, t) and ln((s+t)/|s-t|)/(2st) are homogeneous in
+# (s, t), and the radial law s**2 exp(-s**q) depends on s only via s**q, so
+# t = x*s on the half t < s (doubled by symmetry) leaves a Gamma function
+# times one integral on (0, 1):
+#
+#   C = (q Gamma(a/q)/Gamma(3/q)**2) Int_0^1 kernel(x) (1 + x**q)**(-a/q) dx
+#
+# with a = 5, kernel 2 x**2 for C_-1 and a = 4, kernel x ln((1+x)/(1-x)) for
+# C_-2.  That log singularity sits at the endpoint x = 1, which the tanh-sinh
+# rule damps; ln(1 - x) takes 1 - x exactly as the rule produced it.
 # ---------------------------------------------------------------------------
 
 
@@ -126,66 +128,41 @@ def _second_moment(q: float) -> float:
     return 2.0 * math.gamma(5.0 / q) / math.gamma(3.0 / q)
 
 
-def _inverse_moment(q: float) -> float:
-    # imported here: scipy.special costs tens of ms at package import
-    from scipy.special import betainc
+# name -> (a, kernel(x, 1 - x))
+_PAIR_KERNELS = {
+    "C_-1": (5.0, lambda x, one_minus_x: 2.0 * x * x),
+    "C_-2": (4.0, lambda x, one_minus_x: x * (np.log1p(x) - np.log(one_minus_x))),
+}
 
-    ratio = 2.0 * math.gamma(2.0 / q) / math.gamma(3.0 / q)
-    return ratio * float(betainc(3.0 / q, 2.0 / q, 0.5))
+
+@lru_cache(maxsize=None)
+def _weighted_kernel(name: str, level: int):
+    """log x and the q-independent kernel(x) times the weights at one level."""
+    x, one_minus_x, w, log_x = tanh_sinh_nodes(level)
+    kw = _PAIR_KERNELS[name][1](x, one_minus_x) * w
+    kw.flags.writeable = False
+    return log_x, kw
+
+
+@lru_cache(maxsize=8192)
+def _pair_moment(name: str, q: float) -> float:
+    """Certified C_-1 or C_-2: levels are doubled until two agree to _RTOL."""
+    a = _PAIR_KERNELS[name][0]
+    g = math.gamma(3.0 / q)
+    scale = q * math.gamma(a / q) / (g * g)
+    prev = cur = None
+    for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
+        log_x, kw = _weighted_kernel(name, level)
+        prev, cur = cur, scale * float(kw @ np.exp(-a / q * np.log1p(np.exp(q * log_x))))
+        if prev is not None and abs(cur - prev) <= _RTOL * abs(cur):
+            return cur
+    raise QuadratureError(f"{name} did not converge for q = {q}", (prev, cur))
 
 
 _ATTRACTION = {
     PotentialKind.SOFT_CORE_OSCILLATOR: _second_moment,
-    PotentialKind.KRATZER: _inverse_moment,
+    PotentialKind.KRATZER: lambda q: _pair_moment("C_-1", q),
 }
-
-_MAX_CACHED_LEVEL = 4
-
-
-def _pair_kernel(t, u):
-    """q-independent log S and S*log1p(2T/U) on rows t, columns u, S = T + U."""
-    T = t[:, None]
-    S = T + u
-    return np.log(S), S * np.log1p(2.0 * T / u)
-
-
-@lru_cache(maxsize=None)
-def _pair_grid(level: int):
-    s, _, _ = de_nodes(level)
-    return _pair_kernel(s, s)
-
-
-@lru_cache(maxsize=4096)
-def _inverse_square_at_level(q: float, level: int) -> float:
-    s, w, log_s = de_nodes(level)
-    # nodes with s**q > 750 have exp(-s**q) == 0.0 exactly, so as rows and as
-    # columns (S > u) they add nothing; dropping them is most of the grid at large q
-    k = int(np.searchsorted(log_s, math.log(750.0) / q))
-    s, w, log_s = s[:k], w[:k], log_s[:k]
-    w_outer = np.exp(-np.exp(q * log_s)) * s * w
-    if level <= _MAX_CACHED_LEVEL:
-        log_grid, kernel = _pair_grid(level)
-        blocks = [(slice(None), log_grid[:k, :k], kernel[:k, :k])]
-    else:
-        # finer levels are rare; evaluate in row blocks to bound memory
-        blocks = (
-            (slice(i, i + 256), *_pair_kernel(s[i : i + 256], s)) for i in range(0, k, 256)
-        )
-    total = sum(
-        float(w_outer[rows] @ ((np.exp(-np.exp(q * log_grid)) * kernel) @ w))
-        for rows, log_grid, kernel in blocks
-    )
-    return total * (q / math.gamma(3.0 / q)) ** 2
-
-
-@lru_cache(maxsize=4096)
-def _inverse_square(q: float) -> float:
-    prev = cur = None
-    for level in range(2, _MAX_LEVEL + 1):
-        prev, cur = cur, _inverse_square_at_level(q, level)
-        if prev is not None and abs(cur - prev) <= _RTOL * abs(cur):
-            return cur
-    raise QuadratureError(f"C_-2 did not converge for q = {q}", (prev, cur))
 
 
 def moment_coeff(q: float, p: float) -> float:
@@ -202,14 +179,14 @@ def moment_coeff(q: float, p: float) -> float:
     Returns
     -------
     float
-        C_2(q) = 2 Gamma(5/q)/Gamma(3/q), or
-        C_-1(q) = 2 Gamma(2/q)/Gamma(3/q) * I_{1/2}(3/q, 2/q).
+        C_2(q) = 2 Gamma(5/q)/Gamma(3/q), or C_-1(q), one certified
+        integral on (0, 1) with the same refinement as ``inverse_square_coeff``.
     """
     _require_q(q)
     if p == 2:
         return _second_moment(q)
     if p == -1:
-        return _inverse_moment(q)
+        return _pair_moment("C_-1", q)
     if p == -2:
         raise ValueError("p = -2 has a logarithmic kernel; use inverse_square_coeff")
     raise ValueError(f"moment_coeff supports p = 2 and p = -1, got p = {p}")
@@ -218,11 +195,13 @@ def moment_coeff(q: float, p: float) -> float:
 def inverse_square_coeff(q: float) -> float:
     """Soft-core coefficient C_-2(q) with <r**-2> = C_-2(q) / b**2.
 
-    Certified quadrature: levels are doubled until two agree to 1e-10
-    relative, and ``QuadratureError`` is raised if six levels do not.
+    One integral on (0, 1) with a logarithmic endpoint singularity, by the
+    tanh-sinh rule: levels 3 to 6 (57 to 449 nodes) are tried in turn
+    until two successive ones agree to 1e-10 relative, and
+    ``QuadratureError`` is raised if none do.
     """
     _require_q(q)
-    return _inverse_square(q)
+    return _pair_moment("C_-2", q)
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +209,17 @@ def inverse_square_coeff(q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_coeffs(prob: Problem, q: float, soft_core) -> tuple:
-    """(A, C) = (T + v*mu*C_-2, v*lam*C_attract); ``soft_core(q)`` gives C_-2."""
+def _reduced_coeffs(prob: Problem, q: float) -> tuple:
+    """(A, C) = (T + v*mu*C_-2, v*lam*C_attract)."""
     pot, v = prob.potential, prob.v
     a = kinetic_coeff(q)
     if pot.mu > 0.0:
-        a += v * pot.mu * soft_core(q)
+        a += v * pot.mu * _pair_moment("C_-2", q)
     return a, v * pot.lam * _ATTRACTION[pot.kind](q)
 
 
-def _scale_min(prob: Problem, q: float, soft_core) -> tuple:
-    a, c = _reduced_coeffs(prob, q, soft_core)
+def _scale_min(prob: Problem, q: float) -> tuple:
+    a, c = _reduced_coeffs(prob, q)
     if prob.potential.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
         return (a / c) ** 0.25, 2.0 * math.sqrt(a * c)
     return 2.0 * a / c, -c * c / (4.0 * a)
@@ -254,7 +233,7 @@ def energy_at(prob: Problem, density: TrialDensity) -> float:
     """
     _require_d3(prob)
     b = density.b
-    a, c = _reduced_coeffs(prob, density.q, _inverse_square)
+    a, c = _reduced_coeffs(prob, density.q)
     if prob.potential.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
         return a / (b * b) + c * b * b
     return a / (b * b) - c / b
@@ -272,7 +251,7 @@ def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
     """
     _require_d3(prob)
     _require_q(q)
-    return _scale_min(prob, q, _inverse_square)
+    return _scale_min(prob, q)
 
 
 # one coarse scan grid shared by every optimize call; the moments along it
@@ -284,17 +263,14 @@ _SCAN_Q = tuple(float(q) for q in np.linspace(_Q_LO, _Q_HI, 32))
 def optimize(prob: Problem) -> PhiResult:
     """Minimize the scale-reduced energy over the power q (d = 3).
 
-    A 32-point scan over the bracket [0.62, 12] locates the valley and flags
-    multiple local minima (logged as a warning; the energy curves seen in
-    practice are unimodal in q), then golden-section/parabolic refinement
-    polishes the minimizer.
+    A 32-point scan over the bracket [0.62, 12] locates the valley, then
+    golden-section/parabolic refinement polishes the minimizer.  Two scan
+    shapes are logged as warnings: multiple local minima (the energy curves
+    seen in practice are unimodal in q) and a lowest point on the bracket
+    edge, where the result is one-sided.
     """
     _require_d3(prob)
-    # single fixed level: the scan only locates the valley and flags shape
-    scan = [
-        _scale_min(prob, q, lambda qq: _inverse_square_at_level(qq, 2))[1]
-        for q in _SCAN_Q
-    ]
+    scan = [_scale_min(prob, q)[1] for q in _SCAN_Q]
     interior_minima = sum(
         1
         for i in range(1, len(scan) - 1)
@@ -306,6 +282,11 @@ def optimize(prob: Problem) -> PhiResult:
             interior_minima,
         )
     i0 = int(np.argmin(scan))
+    if i0 in (0, len(scan) - 1):
+        logger.warning(
+            "energy scan over q is lowest at the bracket edge q = %g; result is one-sided",
+            _SCAN_Q[i0],
+        )
     lo = _SCAN_Q[max(i0 - 1, 0)]
     hi = _SCAN_Q[min(i0 + 1, len(_SCAN_Q) - 1)]
     res = minimize_1d(lambda q: minimize_scale(prob, q)[1], lo, hi, 1e-8)

@@ -2,8 +2,8 @@
 
 Two independent tools used throughout the package:
 
-* ``de_nodes``: nodes and weights of the double-exponential rule on the
-  half line (0, inf), the rule behind the soft-core pair moment.
+* ``tanh_sinh_nodes``: nodes and weights of the tanh-sinh
+  (double-exponential) rule on (0, 1), the rule behind the pair moments.
 * ``minimize_1d``: bracketed one-dimensional minimization (golden section
   with parabolic acceleration).
 """
@@ -19,8 +19,8 @@ import numpy as np
 __all__ = [
     "MinimizeResult",
     "QuadratureError",
-    "de_nodes",
     "minimize_1d",
+    "tanh_sinh_nodes",
 ]
 
 
@@ -41,34 +41,36 @@ class QuadratureError(RuntimeError):
         self.estimates = estimates
 
 
-# The map s = exp(xi - exp(-xi)) sends the real line onto (0, inf).  Toward
-# xi -> -inf the image collapses onto 0 double-exponentially fast, which is
-# what tames integrable endpoint singularities; toward xi -> +inf it grows
-# like e^xi, so integrands containing exp(-s^q) (every integrand in this
-# package does, with q > 1/2) die double-exponentially as well.  A fixed
-# window in xi therefore suffices for all refinement levels.
-_XI_LO = -6.0
-_XI_HI = 9.0
+# The tanh-sinh map x = 1/(1 + exp(-pi*sinh(tau))) sends the real line onto
+# (0, 1) and reaches either end double-exponentially fast in tau, which damps
+# integrable endpoint singularities such as a logarithm.  The window
+# |tau| <= 3.5 stops where x and 1 - x are 2.7e-23, so an integrand growing no
+# faster than a logarithm at either end loses far less than double precision.
+_TAU_MAX = 3.5
 
 
 @lru_cache(maxsize=None)
-def de_nodes(level: int):
-    """Nodes and weights of the double-exponential rule at a refinement level.
+def tanh_sinh_nodes(level: int):
+    """Nodes and weights of the tanh-sinh rule on (0, 1) at a refinement level.
 
-    Level ``l`` uses the trapezoid step ``h = 0.25 / 2**l`` on the fixed
-    window [-6, 9].  Returns ``(s, w, log_s)`` as read-only float64 arrays;
-    ``log_s`` is supplied so integrands of the form exp(-s**q) can be formed
-    as exp(-exp(q*log_s)) without re-taking logs.
+    Level ``l >= 1`` uses the trapezoid step ``h = 2**-l`` on the fixed window
+    [-3.5, 3.5] in tau, so each level's nodes are every other node of the
+    next.  Returns ``(x, one_minus_x, w, log_x)`` as read-only float64
+    arrays.  ``one_minus_x`` comes from the exponent, never by subtraction,
+    so it keeps full relative precision where x rounds to 1.0; ``log_x``
+    lets integrands with x**q be formed as exp(q*log_x).
     """
-    h = 0.25 / 2**level
-    xi = np.arange(_XI_LO, _XI_HI + 0.5 * h, h)
-    em = np.exp(-xi)
-    s = np.exp(xi - em)
-    w = h * s * (1.0 + em)
-    log_s = xi - em
-    for arr in (s, w, log_s):
+    h = 2.0**-level
+    n = round(_TAU_MAX / h)
+    tau = h * np.arange(-n, n + 1)
+    u = math.pi * np.sinh(tau)
+    x = 1.0 / (1.0 + np.exp(-u))
+    one_minus_x = 1.0 / (1.0 + np.exp(u))
+    w = h * math.pi * np.cosh(tau) * x * one_minus_x
+    log_x = -np.log1p(np.exp(-u))
+    for arr in (x, one_minus_x, w, log_x):
         arr.flags.writeable = False
-    return s, w, log_s
+    return x, one_minus_x, w, log_x
 
 
 # ---------------------------------------------------------------------------

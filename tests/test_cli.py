@@ -268,6 +268,19 @@ class TestUsageErrors:
         assert code != 0
         assert "inf" not in out and "nan" not in out
 
+    def test_only_the_printed_numbers_are_checked(self, capsys):
+        # sigma2 overflows at these Kratzer couplings; physical does not print
+        # it and succeeds, bounds prints it and fails before printing anything
+        code, out, _ = run_cli(
+            capsys, "physical", "--potential", "kratzer", "--N", "2", "--V0", "1e-160"
+        )
+        assert code == 0
+        assert "physical window" in out and "inf" not in out
+        code, out, err = run_cli(capsys, "bounds", "--potential", "kratzer", "--v", "1e-170")
+        assert code == 1
+        assert out == ""
+        assert "numerical failure" in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bosonbounds.cli", "bounds", "--v", "1", "--mu", "0"],
@@ -295,3 +308,20 @@ class TestImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_kratzer_phi_command_leaves_scipy_special_unloaded(self):
+        # both non-closed pair moments are tanh-sinh integrals, so no command
+        # needs scipy.special
+        code = (
+            "import sys; from bosonbounds.cli import main; "
+            "code = main(['bounds', '--potential', 'kratzer', '--v', '2', '--phi']); "
+            "print('scipy.special' in sys.modules, code)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False 0"

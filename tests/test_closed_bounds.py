@@ -179,6 +179,15 @@ class TestBoundReport:
         assert rep.asymptote_lower is None and rep.asymptote_upper is None
         assert rep.lower == pytest.approx(rep.upper_gaussian, rel=1e-14)
 
+    def test_window_only_skips_what_it_does_not_report(self):
+        # sigma2 = d**3/(2 (v lam gamma_d)**2) overflows at this coupling
+        tiny = kra(v=1e-160)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            bound_report(tiny)
+        rep = bound_report(tiny, window_only=True)
+        assert rep.sigma2 is None and rep.asymptote_lower is None and rep.asymptote_upper is None
+        assert rep.lower == lower_bound(tiny) and rep.upper_gaussian == gaussian_upper(tiny)
+
     def test_with_variational_upper(self):
         rep = bound_report(kra(v=2.0), include_phi=True)
         assert rep.upper_phi is not None

@@ -1,19 +1,21 @@
 """Tests for the variational collective-field bound.
 
-C2 and C_-1 are closed forms and C_-2 is a double-exponential quadrature;
-all three are checked independently: against adaptive quadrature
-(``scipy.integrate.quad``) of their radial integrals, chi-square moments at
-q = 2, a Monte Carlo evaluation with the angular average done exactly, and
-frozen high-precision values pinned by those cross-checks.
+C2 is a closed form, and C_-1 and C_-2 are one-dimensional tanh-sinh
+quadratures; all three are checked independently: against adaptive
+quadrature (``scipy.integrate.quad``) of their radial integrals, the
+incomplete beta closed form of C_-1, chi-square moments at q = 2, a Monte
+Carlo evaluation with the angular average done exactly, and frozen
+high-precision values pinned by those cross-checks.
 """
 
+import logging
 import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaincc
+from scipy.special import betainc, gammaincc
 
 from bosonbounds import (
     Potential,
@@ -163,7 +165,7 @@ class TestMomentCoeffs:
             <1/|x-y|^2> = ln((s+t)/|s-t|)/(2st)
 
         which leaves a plain sample mean over radii, sharing no code with
-        the closed forms or the double-exponential integrator under test.
+        the closed forms or the tanh-sinh integrator under test.
         """
         rng = np.random.default_rng(2026)
         n = 250_000
@@ -192,18 +194,23 @@ class TestMomentCoeffs:
             inverse_square_coeff(0.4)
 
     def test_unconverged_rule_raises_with_both_estimates(self, monkeypatch):
-        # levels 2 and 3 alone cannot agree to 1e-16, so the rule must raise
-        # rather than return (called past its per-q cache)
+        # the first two levels alone cannot agree to 1e-16, so both certified
+        # moments must raise rather than return (called past their per-q caches)
         q = 5.2468
-        monkeypatch.setattr(collective_field, "_MAX_LEVEL", 3)
+        moments = (("C_-2", inverse_square_coeff), ("C_-1", lambda qq: moment_coeff(qq, -1)))
+        monkeypatch.setattr(collective_field, "_MAX_LEVEL", collective_field._MIN_LEVEL + 1)
         monkeypatch.setattr(collective_field, "_RTOL", 1e-16)
-        with pytest.raises(QuadratureError) as excinfo:
-            collective_field._inverse_square.__wrapped__(q)
+        errors = []
+        for name, _ in moments:
+            with pytest.raises(QuadratureError, match=name) as excinfo:
+                collective_field._pair_moment.__wrapped__(name, q)
+            errors.append(excinfo.value)
         monkeypatch.undo()
-        lo, hi = excinfo.value.estimates
-        assert lo != hi
-        for est in (lo, hi):
-            assert est == pytest.approx(inverse_square_coeff(q), rel=1e-6)
+        for exc, (_, coeff) in zip(errors, moments):
+            lo, hi = exc.estimates
+            assert lo != hi
+            for est in (lo, hi):
+                assert est == pytest.approx(coeff(q), rel=1e-6)
 
 
 class TestIndependentReference:
@@ -213,6 +220,15 @@ class TestIndependentReference:
     def test_closed_forms_match_radial_quadrature(self, q):
         assert moment_coeff(q, 2) == pytest.approx(ref_c2(q), rel=1e-10)
         assert moment_coeff(q, -1) == pytest.approx(ref_cm1(q), rel=1e-10)
+
+    @pytest.mark.parametrize("q", [0.62, 1.0, 2.0, 3.3, 5.0305, 8.0, 12.0])
+    def test_inverse_moment_matches_incomplete_beta(self, q):
+        # by the shell theorem C_-1 = E[1/max(s, t)]; with s**q and t**q
+        # Gamma(3/q) variables that is a regularized incomplete beta
+        # function at 1/2 (DLMF 8.17)
+        ratio = 2.0 * math.gamma(2.0 / q) / math.gamma(3.0 / q)
+        expect = ratio * float(betainc(3.0 / q, 2.0 / q, 0.5))
+        assert moment_coeff(q, -1) == pytest.approx(expect, rel=1e-13)
 
     @pytest.mark.parametrize("q", [3.0, 4.46, 5.0305])
     def test_inverse_square_matches_nested_quadrature(self, q):
@@ -336,6 +352,20 @@ class TestOptimize:
         b_again, e_again = minimize_scale(kra(v=7.0), res.q_opt)
         assert b_again == pytest.approx(res.b_opt, rel=1e-12)
         assert e_again == pytest.approx(res.energy, rel=1e-12)
+
+    def test_scan_minimum_on_the_bracket_edge_is_logged(self, monkeypatch, caplog):
+        logger = "bosonbounds.collective_field"
+        with caplog.at_level(logging.WARNING, logger=logger):
+            optimize(osc(v=2.0))
+        assert caplog.records == []
+        # a scan grid lying wholly above the optimum (q = 2.8587) is lowest
+        # at its first point, so the refined result sits on that edge
+        monkeypatch.setattr(collective_field, "_SCAN_Q", (4.0, 5.0, 6.0, 7.0))
+        with caplog.at_level(logging.WARNING, logger=logger):
+            res = optimize(osc(v=2.0))
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "bracket edge q = 4" in caplog.text
+        assert res.q_opt == pytest.approx(4.0, abs=1e-6)
 
     @pytest.mark.parametrize("v", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0])
     @pytest.mark.parametrize("make", [osc, kra])

@@ -11,82 +11,122 @@ import pytest
 from scipy.special import exp1
 
 from bosonbounds import numerics
-from bosonbounds.numerics import de_nodes, minimize_1d
+from bosonbounds.numerics import minimize_1d, tanh_sinh_nodes
 
 
-def de_rule(f, shift=0.0, level=3):
-    """One level of the double-exponential rule on (shift, inf).
+def unit_rule(f, level=3):
+    """One level of the tanh-sinh rule on (0, 1); f receives (x, 1 - x)."""
+    x, one_minus_x, w, _ = tanh_sinh_nodes(level)
+    return float(np.dot(f(x, one_minus_x), w))
 
-    The integrand receives (s, u) with s = shift + u, the shifted form the
-    soft-core pair moment uses for its inner integral.
+
+def half_line_rule(f, shift=0.0, level=5):
+    """The (0, 1) rule on (shift, inf) through s = shift + u, u = -ln(1 - x).
+
+    The integrand receives (s, u) and is divided by 1 - x, the Jacobian.
+    Near x = 1 the node rounds to 1.0, so u comes from the rule's own 1 - x:
+    u = log1p(x/(1 - x)), accurate at both ends.
     """
-    u, w, _ = de_nodes(level)
-    return float(np.dot(f(shift + u, u), w))
+
+    def mapped(x, one_minus_x):
+        u = np.log1p(x / one_minus_x)
+        return f(shift + u, u) / one_minus_x
+
+    return unit_rule(mapped, level)
 
 
 class TestDeNodes:
-    def test_nodes_cover_half_line_monotonically(self):
-        s, w, log_s = de_nodes(2)
-        assert np.all(np.diff(s) > 0)
+    """The tanh-sinh rule, the double-exponential rule on (0, 1)."""
+
+    def test_nodes_cover_the_unit_interval_monotonically(self):
+        x, one_minus_x, w, log_x = tanh_sinh_nodes(3)
+        # x rounds to 1.0 at the last few nodes and 1 - x to 1.0 at the
+        # first few; the smaller of the two is strictly monotone
+        left = x < 0.5
+        assert np.all(np.diff(x[left]) > 0) and np.all(np.diff(one_minus_x[~left]) < 0)
+        assert np.all(np.diff(x) >= 0)
         assert np.all(w > 0)
-        assert s[0] < 1e-100 and s[-1] > 1e3
-        assert np.allclose(log_s, np.log(s), rtol=0, atol=1e-12)
+        assert 0.0 < x[0] < 1e-20 and 0.0 < one_minus_x[-1] < 1e-20
+        assert np.allclose(log_x, np.log(x), rtol=0, atol=1e-12)
+        # near x = 1, log x keeps the digits that x itself rounded away
+        assert np.allclose(log_x[~left], np.log1p(-one_minus_x[~left]), rtol=1e-14, atol=0)
+
+    def test_one_minus_x_is_exact_where_x_rounds_to_one(self):
+        x, one_minus_x, _, _ = tanh_sinh_nodes(4)
+        assert np.all(one_minus_x > 0)
+        assert np.any(x == 1.0)
+        # wherever x is not rounded away, 1 - x agrees with the subtraction
+        mid = one_minus_x > 1e-3
+        assert np.allclose(one_minus_x[mid], 1.0 - x[mid], rtol=1e-12, atol=0)
+        assert np.allclose(one_minus_x + x, 1.0, rtol=0, atol=2.3e-16)
 
     def test_levels_halve_the_spacing(self):
-        s1, _, _ = de_nodes(1)
-        s2, _, _ = de_nodes(2)
-        assert len(s2) == 2 * len(s1) - 1
-        assert s2[::2] == pytest.approx(s1)
+        x1, _, _, _ = tanh_sinh_nodes(1)
+        x2, _, _, _ = tanh_sinh_nodes(2)
+        assert len(x2) == 2 * len(x1) - 1
+        assert x2[::2] == pytest.approx(x1)
 
     def test_arrays_are_cached_and_frozen(self):
-        a = de_nodes(3)
-        b = de_nodes(3)
-        assert a[0] is b[0]
-        with pytest.raises(ValueError):
-            a[0][0] = 1.0
+        a = tanh_sinh_nodes(3)
+        b = tanh_sinh_nodes(3)
+        assert all(p is q for p, q in zip(a, b))
+        for arr in a:
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_polynomial_moments_are_exact(self, k):
+        assert unit_rule(lambda x, _: x**k) == pytest.approx(1.0 / (k + 1), rel=1e-14)
 
 
 class TestSemiInfinite:
-    """A single level of ``de_nodes`` on smooth half-line integrands."""
+    """Smooth half-line integrands, carried onto (0, 1) by u = -ln(1 - x)."""
 
     def test_unit_exponential(self):
-        assert de_rule(lambda s, u: np.exp(-s)) == pytest.approx(1.0, rel=1e-10)
+        assert half_line_rule(lambda s, u: np.exp(-s)) == pytest.approx(1.0, rel=1e-10)
 
     def test_gaussian_second_moment(self):
-        val = de_rule(lambda s, u: s * s * np.exp(-s * s))
+        val = half_line_rule(lambda s, u: s * s * np.exp(-s * s))
         assert val == pytest.approx(math.sqrt(math.pi) / 4.0, rel=1e-10)
 
     def test_cubic_exponential(self):
-        val = de_rule(lambda s, u: np.exp(-(s**3)))
+        val = half_line_rule(lambda s, u: np.exp(-(s**3)))
         assert val == pytest.approx(math.gamma(4.0 / 3.0), rel=1e-10)
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0])
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_power_weighted_moments(self, k, q):
         # s^k exp(-s^q) integrates to Gamma((k+1)/q)/q
-        val = de_rule(lambda s, u: s**k * np.exp(-(s**q)))
+        val = half_line_rule(lambda s, u: s**k * np.exp(-(s**q)))
         assert val == pytest.approx(math.gamma((k + 1) / q) / q, rel=1e-9)
 
 
 class TestSingularInner:
-    """The shifted rule s = t + u on (t, inf), singular at the endpoint."""
+    """Logarithmic endpoint singularities, the case the pair moments need."""
 
     def test_plain_exponential_tail(self):
-        assert de_rule(lambda s, u: np.exp(-s), 0.7) == pytest.approx(
+        assert half_line_rule(lambda s, u: np.exp(-s), 0.7) == pytest.approx(
             math.exp(-0.7), rel=1e-10
         )
 
     def test_log_endpoint_singularity(self):
-        # shift u = s - 1 turns this into the classic integral of ln(u) e^(-u),
-        # which equals -euler_gamma
-        val = de_rule(lambda s, u: np.log(u) * np.exp(-s), 1.0)
+        # ln(1/(1-x)) on (0, 1), singular at x = 1, integrates to 1
+        assert unit_rule(lambda x, omx: -np.log(omx)) == pytest.approx(1.0, rel=1e-10)
+        # the same singularity at u = 0 on the half line: ln(u) e^(-u)
+        # integrates to -euler_gamma
+        val = half_line_rule(lambda s, u: np.log(u) * np.exp(-s), 1.0)
         assert val == pytest.approx(-np.euler_gamma / math.e, rel=1e-10)
+
+    def test_pair_log_kernel_integrates_to_one(self):
+        # x ln((1+x)/(1-x)), the C_-2 kernel without its q-dependent factor
+        val = unit_rule(lambda x, omx: x * (np.log1p(x) - np.log(omx)))
+        assert val == pytest.approx(1.0, rel=1e-9)
 
     def test_log_ratio_kernel_against_exponential_integral(self):
         # integral over (t, inf) of ln((s+t)/(s-t)) e^(-s) ds
         #   = e^t (e^(-2t) ln(2t) + E1(2t)) + euler_gamma e^(-t)
         t = 0.6
-        val = de_rule(lambda s, u: np.log1p(2.0 * t / u) * np.exp(-s), t)
+        val = half_line_rule(lambda s, u: np.log1p(2.0 * t / u) * np.exp(-s), t)
         expect = (
             math.exp(t) * (math.exp(-2 * t) * math.log(2 * t) + exp1(2 * t))
             + np.euler_gamma * math.exp(-t)

@@ -1,7 +1,8 @@
 """Property tests over the whole input domain.
 
 Each property draws the potential kind, the dimension and log-uniform
-couplings.  The draws are derandomized, so every run checks the same
+couplings; the collective-field properties hold d = 3, the one dimension
+that bound covers.  The draws are derandomized, so every run checks the same
 examples and the suite stays deterministic.
 """
 
@@ -16,6 +17,8 @@ from bosonbounds import (
     gaussian_upper,
     ground_energy,
     lower_bound,
+    minimize_scale,
+    optimize,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -59,3 +62,21 @@ def test_coupling_scales_into_the_potential(kind, lam, mu, d, v):
     prob = problem(kind, lam, mu, d, v)
     for bound in (lower_bound, gaussian_upper):
         assert bound(prob) == pytest.approx(bound(scaled), rel=1e-12)
+
+
+@PROPERTY
+@given(KINDS, LAMS, MUS, VS)
+def test_collective_field_bound_lies_in_the_window(kind, lam, mu, v):
+    # the cushion of bound_report: at mu = 0 on the oscillator F2 = FG
+    # exactly, and the optimized Fphi may land an ulp either side
+    prob = problem(kind, lam, mu, 3, v)
+    lower, upper = lower_bound(prob), gaussian_upper(prob)
+    cushion = 1e-9 * max(1.0, abs(upper))
+    assert lower - cushion <= optimize(prob).energy <= upper + cushion
+
+
+@PROPERTY
+@given(KINDS, LAMS, MUS, VS)
+def test_gaussian_power_reproduces_the_gaussian_bound(kind, lam, mu, v):
+    prob = problem(kind, lam, mu, 3, v)
+    assert minimize_scale(prob, 2.0)[1] == pytest.approx(gaussian_upper(prob), rel=1e-12)
