@@ -242,7 +242,7 @@ def _checks_oracle():
         for lam in (0.5, 2.0):
             for mu in (0.0, 0.05, 0.5, 2.0):
                 for v in (1.0, 10.0):
-                    for d in (3, 5):
+                    for d in (3, 4, 5):
                         prob = Problem(Potential(PotentialKind(kind), lam, mu), d, v)
                         exact = lower_bound(prob)
                         numeric = radial_oracle.ground_energy(prob)

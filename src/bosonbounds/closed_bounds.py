@@ -77,7 +77,10 @@ def sigma2_gaussian(prob: Problem) -> float:
     if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
         return d / (2.0 * math.sqrt(v * pot.lam)) * math.sqrt(core)
     vlg = v * pot.lam * gamma_d(d)
-    return d**3 / (2.0 * vlg * vlg) * core * core
+    denom = 2.0 * vlg * vlg
+    if denom == 0.0:
+        raise OverflowError(f"sigma2 overflows: (v*lam*gamma_d)**2 underflows to 0 at v={v!r}")
+    return d**3 / denom * core * core
 
 
 def m_constant(d: int) -> float:

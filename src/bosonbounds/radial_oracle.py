@@ -25,8 +25,8 @@ __all__ = ["ground_energy"]
 # The outer wall sits this many Gaussian sizes out, far beyond the
 # exponential tail of any bound state here; the first solve uses this many
 # interior nodes.
-_R_MAX_SIZES = 20.0
-_N_INTERIOR = 4000
+_R_MAX_SIZES = 10.0
+_N_INTERIOR = 250
 # Successive Richardson estimates must agree this well before one is
 # trusted, within this many halvings after the first extrapolated value.
 _REFINE_RTOL = 1e-6
@@ -53,46 +53,59 @@ def _lowest_eigenvalue(prob: Problem, r_max: float, n: int) -> float:
     return float(val[0])
 
 
-def _error_order(prob: Problem) -> float:
+def _error_orders(prob: Problem) -> tuple[float, float]:
     # Near the origin u ~ r**(1/2 + kappa) with 2*kappa the square root of
-    # (d-2)**2 + 4*v*mu, and the leading discretisation error goes as
-    # h**(2*kappa) until the regular h**2 term takes over (Sidi, Practical
-    # Extrapolation Methods, 2003, ch. 1).  At d = 3 without a soft core
-    # there is no 1/r**2 term and u is smooth at the origin.
+    # (d-2)**2 + 4*v*mu, and the discretisation error is a series in h**2,
+    # h**(2*kappa) and higher powers (Sidi, Practical Extrapolation Methods,
+    # 2003, ch. 1); the two leading ones are removed.  At d = 3 without a
+    # soft core there is no 1/r**2 term, u is smooth at the origin and the
+    # series runs h**2, h**4.  At 2*kappa = 2 (d = 4, mu = 0) the leading
+    # term is h**2 ln h: removing h**2 once leaves a pure h**2, which the
+    # second pass removes.
     g = prob.v * prob.potential.mu
-    if g == 0.0:
-        return 2.0
-    return min(2.0, math.sqrt((prob.d - 2) ** 2 + 4.0 * g))
+    two_kappa = 4.0 if prob.d == 3 and g == 0.0 else math.sqrt((prob.d - 2) ** 2 + 4.0 * g)
+    return tuple(sorted((2.0, min(4.0, two_kappa))))
 
 
 def ground_energy(prob: Problem) -> float:
     """Smallest eigenvalue of the reduced radial operator.
 
     The Dirichlet walls sit at the origin, which is the exact boundary
-    condition, and at twenty Gaussian sizes.  The spacing is halved
-    repeatedly and the leading h**p error removed by Richardson
-    extrapolation (2**p * E_fine - E_coarse)/(2**p - 1), with p the soft
-    core's indicial exponent (at most 2), until two consecutive
-    extrapolated values agree to a part in 10**6.  If they still disagree
-    after five further doublings the result cannot be trusted and an error
-    is raised instead.
+    condition, and at ten Gaussian sizes.  The first solve uses 250
+    interior nodes; each further solve halves the spacing and extends a
+    Richardson table that removes the two leading error orders h**p1 and
+    h**p2, (2**p * T_fine - T_coarse)/(2**p - 1) once per order, with
+    (p1, p2) = sorted((2, min(4, 2*kappa))) read from the soft core's
+    indicial exponent.  The result is returned once two consecutive table
+    estimates agree to a part in 10**6.  If they still disagree after five
+    further halvings the result cannot be trusted and an error is raised
+    instead, as it is when the outer wall (sigma2) is not finite.
     """
-    r_max = _R_MAX_SIZES * math.sqrt(sigma2_gaussian(prob))
-    factor = 2.0 ** _error_order(prob)
-    # nan never agrees, so the first comparison comes with the second
-    # extrapolated value
-    e_coarse = refined = math.nan
+    sigma2 = sigma2_gaussian(prob)
+    r_max = _R_MAX_SIZES * math.sqrt(sigma2)
+    if not math.isfinite(r_max):
+        raise RuntimeError(f"no finite outer wall: sigma2 = {sigma2!r} at v={prob.v!r}")
+    p1, p2 = _error_orders(prob)
+    f1, f2 = 2.0**p1, 2.0**p2
+    # the previous row of the table: the raw solve and the value with one
+    # order removed; nan never agrees, so the first comparison comes with
+    # the first value that has both orders removed
+    e_coarse = t1_coarse = estimate = math.nan
     for k in range(_MAX_DOUBLINGS + 2):
         # halving the spacing r_max/(n+1) doubles n+1
         n = (_N_INTERIOR + 1) * 2**k - 1
         e_fine = _lowest_eigenvalue(prob, r_max, n)
-        previous, refined = refined, (factor * e_fine - e_coarse) / (factor - 1.0)
+        t1 = (f1 * e_fine - e_coarse) / (f1 - 1.0)
+        t2 = (f2 * t1 - t1_coarse) / (f2 - 1.0)
+        previous, estimate = estimate, (t2 if k >= 2 else t1)
         # relative, not absolute: the bound-state energies here scale with
         # lam**2 and the agreement this feeds is always a relative one
-        if abs(refined - previous) <= _REFINE_RTOL * abs(refined):
-            return refined
-        e_coarse = e_fine
+        if abs(estimate - previous) <= _REFINE_RTOL * abs(estimate):
+            return estimate
+        e_coarse, t1_coarse = e_fine, t1
     raise RuntimeError(
         "mesh too coarse: Richardson estimates still moving by "
-        f"{abs(refined - previous):.3e} at {n} interior nodes"
+        f"{abs(estimate - previous):.3e} at {n} interior nodes "
+        f"(orders h**{p1:.4g} and h**{p2:.4g} removed; last two estimates "
+        f"{previous!r} and {estimate!r})"
     )

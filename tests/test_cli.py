@@ -281,6 +281,15 @@ class TestUsageErrors:
         assert out == ""
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize("v", ["1e-155", "1e-170"])
+    def test_sigma2_overflow_is_named(self, capsys, v):
+        # sigma2 overflows to inf at 1e-155 and its denominator underflows to
+        # 0 at 1e-170; either way the failure says which number it was
+        code, out, err = run_cli(capsys, "bounds", "--potential", "kratzer", "--mu", "0", "--v", v)
+        assert code == 1
+        assert out == ""
+        assert "sigma2" in err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "bosonbounds.cli", "bounds", "--v", "1", "--mu", "0"],

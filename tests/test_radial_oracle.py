@@ -52,11 +52,72 @@ class TestConvergence:
 
     def test_refuses_a_mesh_it_cannot_converge_on(self, monkeypatch):
         # an agreement no finite mesh reaches: the refinement budget runs
-        # out and the solver raises rather than return the last estimate
+        # out and the solver raises rather than return the last estimate,
+        # naming the orders it removed and the two estimates that disagree
         monkeypatch.setattr(radial_oracle, "_REFINE_RTOL", 1e-16)
         prob = Problem(Potential.oscillator(1.0, 0.05), 3, 1.0)
-        with pytest.raises(RuntimeError, match="mesh too coarse"):
+        with pytest.raises(RuntimeError, match="mesh too coarse") as info:
             ground_energy(prob)
+        message = str(info.value)
+        assert "at 16063 interior nodes" in message
+        assert "orders h**1.095 and h**2 removed" in message
+        estimates = message.rpartition("last two estimates ")[2].rstrip(")").split(" and ")
+        assert [float(e) for e in estimates] == pytest.approx([lower_bound(prob)] * 2, rel=1e-6)
+
+    @pytest.mark.parametrize("v", [1e-155, 1e-160])
+    def test_infinite_outer_wall_is_refused(self, v):
+        # sigma2 overflows to inf at these Kratzer couplings; a mesh out to
+        # an infinite wall would return 0.0, 100 % off F2
+        prob = Problem(Potential.kratzer(1.0, 0.0), 3, v)
+        with pytest.raises(RuntimeError, match="sigma2 = inf"):
+            ground_energy(prob)
+
+    def test_vanishing_sigma2_denominator_is_named(self):
+        prob = Problem(Potential.kratzer(1.0, 0.0), 3, 1e-170)
+        with pytest.raises(OverflowError, match="sigma2 overflows"):
+            ground_energy(prob)
+
+
+class TestRichardsonTable:
+    @pytest.mark.parametrize(
+        "d, mu, orders",
+        [
+            (3, 0.0, (2.0, 4.0)),
+            (4, 0.0, (2.0, 2.0)),
+            (3, 1e-4, (1.0002, 2.0)),
+            (3, 0.8, (2.0, 2.0494)),
+            (3, 50.0, (2.0, 4.0)),
+            (5, 0.0, (2.0, 3.0)),
+        ],
+    )
+    def test_orders_removed_per_class(self, d, mu, orders):
+        # g = v*mu at v = 1: 2*kappa = sqrt((d-2)**2 + 4g), except d = 3 without
+        # a core, whose error series has no singular term
+        prob = Problem(Potential.kratzer(1.0, mu), d, 1.0)
+        assert radial_oracle._error_orders(prob) == pytest.approx(orders, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            Problem(Potential.kratzer(1.0, 0.0), 4, 2.0),
+            Problem(Potential.kratzer(1.0, 0.4), 3, 2.0),
+            Problem(Potential.kratzer(1.0, 5e-5), 3, 2.0),
+        ],
+    )
+    def test_two_orders_converge_within_four_solves(self, prob, monkeypatch):
+        # the degenerate h**2 ln h class (d = 4, mu = 0), the near-degenerate
+        # 2*kappa ~ 2.05 and the weak core 2*kappa ~ 1: removing one order
+        # alone spends all seven solves on each of them
+        solves = []
+
+        def counted(prob, r_max, n):
+            solves.append(n)
+            return _lowest_eigenvalue(prob, r_max, n)
+
+        monkeypatch.setattr(radial_oracle, "_lowest_eigenvalue", counted)
+        assert ground_energy(prob) == pytest.approx(lower_bound(prob), rel=1e-6)
+        assert solves[0] == radial_oracle._N_INTERIOR
+        assert len(solves) <= 4
 
 
 class TestAgreementWithClosedForms:
