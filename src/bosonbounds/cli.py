@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from . import collective_field, radial_oracle
 from .closed_bounds import bound_report, gaussian_upper, lower_bound
 from .model import (
@@ -78,7 +76,8 @@ def sweep_rows(config: SweepConfig) -> list:
     step = (config.v_max - config.v_min) / (config.steps - 1)
     rows = []
     for i in range(config.steps):
-        v = config.v_min + i * step
+        # the last row sits exactly on v_max, which v_min + i*step can miss
+        v = config.v_max if i == config.steps - 1 else config.v_min + i * step
         r = bound_report(Problem(config.potential, config.d, v), config.include_phi)
         values = (v, r.lower, r.upper_gaussian, r.upper_phi, r.q_opt, r.b_opt, r.sigma2)
         rows.append(dict(zip(CSV_COLUMNS, values)))
@@ -213,12 +212,18 @@ def _checks_qcal():
     }
     for (kind, v), (expected, tol) in published.items():
         pot = Potential(PotentialKind(kind), 1.0, 1.0)
-        res = collective_field.optimize(Problem(pot, 3, v))
-        out.append((f"{kind} q_opt(v={v:g})", res.q_opt, expected, tol))
+        prob = Problem(pot, 3, v)
+        res = collective_field.optimize(prob)
+        # the b-optimised energies at both powers show which one is lower
+        e_expected = collective_field.minimize_scale(prob, expected)[1]
+        note = f"E(observed)={_fmt(res.energy)} E(expected)={_fmt(e_expected)}"
+        out.append((f"{kind} q_opt(v={v:g})", res.q_opt, expected, tol, note))
     return out
 
 
 def _checks_gaussian():
+    import numpy as np
+
     rng = np.random.default_rng(0)
     out = []
     for kind in ("oscillator", "kratzer"):
@@ -263,14 +268,14 @@ def cmd_verify(args) -> int:
     groups = [args.only] if args.only else list(_VERIFY_GROUPS)
     failures = 0
     for name in groups:
-        for label, observed, expected, tol in _VERIFY_GROUPS[name]():
+        for label, observed, expected, tol, *note in _VERIFY_GROUPS[name]():
             if tol is None:
                 ok = observed >= 0.0
                 detail = f"observed={_fmt(observed)} expected={expected}"
             else:
                 ok = abs(observed - expected) <= tol
                 detail = f"observed={_fmt(observed)} expected={_fmt(expected)} tol={_fmt(tol)}"
-            print(f"{'PASS' if ok else 'FAIL'} {name}/{label}: {detail}")
+            print(f"{'PASS' if ok else 'FAIL'} {name}/{label}: {' '.join([detail, *note])}")
             failures += 0 if ok else 1
     if failures:
         print(f"{failures} check(s) failed")

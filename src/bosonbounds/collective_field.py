@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .model import PotentialKind, Problem
 from .numerics import QuadratureError, minimize_1d, tanh_sinh_nodes
 
@@ -128,18 +126,22 @@ def _second_moment(q: float) -> float:
     return 2.0 * math.gamma(5.0 / q) / math.gamma(3.0 / q)
 
 
-# name -> (a, kernel(x, 1 - x))
-_PAIR_KERNELS = {
-    "C_-1": (5.0, lambda x, one_minus_x: 2.0 * x * x),
-    "C_-2": (4.0, lambda x, one_minus_x: x * (np.log1p(x) - np.log(one_minus_x))),
-}
+# name -> a
+_PAIR_EXPONENTS = {"C_-1": 5.0, "C_-2": 4.0}
 
 
 @lru_cache(maxsize=None)
 def _weighted_kernel(name: str, level: int):
     """log x and the q-independent kernel(x) times the weights at one level."""
+    # numpy is imported where arrays are built, never at package import
+    import numpy as np
+
     x, one_minus_x, w, log_x = tanh_sinh_nodes(level)
-    kw = _PAIR_KERNELS[name][1](x, one_minus_x) * w
+    if name == "C_-1":
+        kernel = 2.0 * x * x
+    else:
+        kernel = x * (np.log1p(x) - np.log(one_minus_x))
+    kw = kernel * w
     kw.flags.writeable = False
     return log_x, kw
 
@@ -147,7 +149,9 @@ def _weighted_kernel(name: str, level: int):
 @lru_cache(maxsize=8192)
 def _pair_moment(name: str, q: float) -> float:
     """Certified C_-1 or C_-2: levels are doubled until two agree to _RTOL."""
-    a = _PAIR_KERNELS[name][0]
+    import numpy as np
+
+    a = _PAIR_EXPONENTS[name]
     g = math.gamma(3.0 / q)
     scale = q * math.gamma(a / q) / (g * g)
     prev = cur = None
@@ -257,7 +261,7 @@ def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
 # one coarse scan grid shared by every optimize call; the moments along it
 # do not depend on v, so the scan is nearly free after the first row of a
 # sweep (per-q results are cached)
-_SCAN_Q = tuple(float(q) for q in np.linspace(_Q_LO, _Q_HI, 32))
+_SCAN_Q = tuple(_Q_LO + i * ((_Q_HI - _Q_LO) / 31) for i in range(31)) + (_Q_HI,)
 
 
 def optimize(prob: Problem) -> PhiResult:
@@ -281,7 +285,7 @@ def optimize(prob: Problem) -> PhiResult:
             "energy scan over q found %d local minima; result may be local",
             interior_minima,
         )
-    i0 = int(np.argmin(scan))
+    i0 = scan.index(min(scan))
     if i0 in (0, len(scan) - 1):
         logger.warning(
             "energy scan over q is lowest at the bracket edge q = %g; result is one-sided",

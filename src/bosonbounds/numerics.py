@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 __all__ = [
     "MinimizeResult",
     "QuadratureError",
@@ -60,6 +58,10 @@ def tanh_sinh_nodes(level: int):
     so it keeps full relative precision where x rounds to 1.0; ``log_x``
     lets integrands with x**q be formed as exp(q*log_x).
     """
+    # imported here: numpy dominates package import time, and the
+    # closed-form commands never build an array
+    import numpy as np
+
     h = 2.0**-level
     n = round(_TAU_MAX / h)
     tau = h * np.arange(-n, n + 1)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .closed_bounds import sigma2_gaussian
 from .model import PotentialKind, Problem
 
@@ -34,6 +32,10 @@ _MAX_DOUBLINGS = 5
 
 
 def _lowest_eigenvalue(prob: Problem, r_max: float, n: int) -> float:
+    # imported here: numpy and scipy.linalg dominate package import time
+    import numpy as np
+    from scipy import linalg
+
     h = r_max / (n + 1)
     r = h * np.arange(1, n + 1)
     pot = prob.potential
@@ -44,9 +46,6 @@ def _lowest_eigenvalue(prob: Problem, r_max: float, n: int) -> float:
     centrifugal = (prob.d - 1) * (prob.d - 3) / 4.0
     diag = 2.0 / (h * h) + prob.v * f + centrifugal / (r * r)
     off = np.full(n - 1, -1.0 / (h * h))
-    # imported here: scipy.linalg dominates package import time
-    from scipy import linalg
-
     val = linalg.eigh_tridiagonal(
         diag, off, eigvals_only=True, select="i", select_range=(0, 0)
     )

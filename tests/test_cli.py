@@ -101,6 +101,22 @@ class TestSweep:
         assert rows[0].split(",")[0] == "3.0"
         assert rows[1].split(",")[0] == "7.0"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_last_row_is_exactly_v_max(self, capsys, fmt):
+        # v_min + 69*step lands one ulp below this v_max
+        v_max = "21.697752557943122"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--v-min", "7.56603832304708", "--v-max", v_max,
+            "--steps", "70", "--format", fmt,
+        )
+        assert code == 0
+        if fmt == "csv":
+            assert out.splitlines()[-1].split(",")[0] == v_max
+        else:
+            payload = json.loads(out)
+            assert len(payload["rows"]) == 70
+            assert payload["rows"][-1]["v"] == payload["config"]["v_max"] == float(v_max)
+
     def test_phi_columns_empty_without_flag(self, capsys):
         _, out, _ = run_cli(capsys, *self.ARGS)
         for line in out.splitlines()[1:]:
@@ -226,6 +242,13 @@ class TestVerify:
         assert len(fail_lines) == 1
         assert "oscillator q_opt(v=20)" in fail_lines[0]
         assert "1 check(s) failed" in out
+        # every line prints the b-optimised energy at both powers, and the
+        # observed power is never the higher one
+        qcal_lines = [line for line in out.splitlines() if "qcal/" in line]
+        assert len(qcal_lines) == 4
+        for line in qcal_lines:
+            fields = dict(item.split("=", 1) for item in line.split() if "=" in item)
+            assert float(fields["E(observed)"]) <= float(fields["E(expected)"]), line
 
 
 class TestUsageErrors:
@@ -302,12 +325,12 @@ class TestUsageErrors:
 
 
 class TestImport:
-    def test_package_import_leaves_scipy_submodules_unloaded(self):
-        # scipy.linalg and scipy.special are imported where they are used,
-        # which keeps them out of the start-up time of every command
+    def test_package_import_leaves_numpy_and_scipy_unloaded(self):
+        # numpy, scipy.linalg and scipy.special are imported where they are
+        # used, which keeps them out of the start-up time of every command
         code = (
             "import sys, bosonbounds; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
+            "print(sorted(m for m in ('numpy', 'scipy.linalg', 'scipy.special') if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -318,13 +341,12 @@ class TestImport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_kratzer_phi_command_leaves_scipy_special_unloaded(self):
-        # both non-closed pair moments are tanh-sinh integrals, so no command
-        # needs scipy.special
+    def _run_fresh(self, argv, module="numpy"):
+        """Run main(argv) in a fresh interpreter; return (module loaded, exit code)."""
         code = (
             "import sys; from bosonbounds.cli import main; "
-            "code = main(['bounds', '--potential', 'kratzer', '--v', '2', '--phi']); "
-            "print('scipy.special' in sys.modules, code)"
+            f"code = main({argv!r}); "
+            f"print({module!r} in sys.modules, code)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -333,4 +355,23 @@ class TestImport:
             env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False 0"
+        loaded, exit_code = proc.stdout.splitlines()[-1].split()
+        return loaded == "True", int(exit_code)
+
+    def test_kratzer_phi_command_leaves_scipy_special_unloaded(self):
+        # both non-closed pair moments are tanh-sinh integrals, so no command
+        # needs scipy.special
+        argv = ["bounds", "--potential", "kratzer", "--v", "2", "--phi"]
+        assert self._run_fresh(argv, "scipy.special") == (False, 0)
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds", "--v", "2"], ["physical", "--N", "100", "--V0", "0.04"]]
+    )
+    def test_closed_form_commands_never_load_numpy(self, argv):
+        assert self._run_fresh(argv) == (False, 0)
+
+    @pytest.mark.parametrize(
+        "argv", [["bounds", "--v", "2", "--phi"], ["verify", "--only", "oracle"]]
+    )
+    def test_array_commands_load_numpy_on_first_use(self, argv):
+        assert self._run_fresh(argv) == (True, 0)

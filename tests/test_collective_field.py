@@ -353,6 +353,10 @@ class TestOptimize:
         assert b_again == pytest.approx(res.b_opt, rel=1e-12)
         assert e_again == pytest.approx(res.energy, rel=1e-12)
 
+    def test_scan_grid_is_numpy_linspace(self):
+        # the grid is built without numpy; it must stay the same 32 doubles
+        assert collective_field._SCAN_Q == tuple(np.linspace(0.62, 12.0, 32))
+
     def test_scan_minimum_on_the_bracket_edge_is_logged(self, monkeypatch, caplog):
         logger = "bosonbounds.collective_field"
         with caplog.at_level(logging.WARNING, logger=logger):
