@@ -18,9 +18,7 @@ from .closed_bounds import (
 )
 from .collective_field import (
     PhiResult,
-    TrialDensity,
     delta_1d_phi,
-    energy_at,
     inverse_square_coeff,
     kinetic_coeff,
     minimize_scale,
@@ -32,11 +30,8 @@ from .model import (
     Potential,
     PotentialKind,
     Problem,
-    classical_floor,
     delta_exact_energy,
     dimensionless_coupling,
-    minimum_point,
-    potential_value,
     recover_energy,
 )
 from .radial_oracle import ground_energy
@@ -49,12 +44,9 @@ __all__ = [
     "Potential",
     "Problem",
     "PhysicalSystem",
-    "potential_value",
-    "minimum_point",
     "dimensionless_coupling",
     "recover_energy",
     "delta_exact_energy",
-    "classical_floor",
     "BoundReport",
     "lower_bound",
     "gaussian_upper",
@@ -63,12 +55,10 @@ __all__ = [
     "asymptotic_bounds",
     "m_constant",
     "bound_report",
-    "TrialDensity",
     "PhiResult",
     "kinetic_coeff",
     "moment_coeff",
     "inverse_square_coeff",
-    "energy_at",
     "minimize_scale",
     "optimize",
     "delta_1d_phi",

@@ -30,7 +30,6 @@ from .model import (
     dimensionless_coupling,
     recover_energy,
 )
-from .numerics import QuadratureError
 
 CSV_HEADER = "v,F2_lower,FG_upper,Fphi_upper,q_opt,b_opt,sigma2"
 CSV_COLUMNS = CSV_HEADER.split(",")
@@ -354,7 +353,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

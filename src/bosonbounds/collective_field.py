@@ -34,12 +34,10 @@ from .model import PotentialKind, Problem
 from .numerics import QuadratureError, minimize_1d, tanh_sinh_nodes
 
 __all__ = [
-    "TrialDensity",
     "PhiResult",
     "kinetic_coeff",
     "moment_coeff",
     "inverse_square_coeff",
-    "energy_at",
     "minimize_scale",
     "optimize",
     "delta_1d_phi",
@@ -58,23 +56,6 @@ _MIN_LEVEL, _MAX_LEVEL = 3, 6
 
 
 @dataclass(frozen=True)
-class TrialDensity:
-    """One member of the trial family: scale b, power q.
-
-    q > 1/2 is required uniformly (the 1-D kinetic integral needs it; the
-    3-D integrals would allow any q > 0).
-    """
-
-    b: float
-    q: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ValueError(f"b must be positive and finite, got {self.b}")
-        _require_q(self.q)
-
-
-@dataclass(frozen=True)
 class PhiResult:
     energy: float
     q_opt: float
@@ -83,6 +64,8 @@ class PhiResult:
 
 
 def _require_q(q: float):
+    # one domain for both models: the 1-D kinetic integral needs q > 1/2,
+    # while the 3-D integrals would allow any q > 0
     if not (math.isfinite(q) and q > 0.5):
         raise ValueError(f"q must be finite and exceed 1/2, got {q}")
 
@@ -163,12 +146,6 @@ def _pair_moment(name: str, q: float) -> float:
     raise QuadratureError(f"{name} did not converge for q = {q}", (prev, cur))
 
 
-_ATTRACTION = {
-    PotentialKind.SOFT_CORE_OSCILLATOR: _second_moment,
-    PotentialKind.KRATZER: lambda q: _pair_moment("C_-1", q),
-}
-
-
 def moment_coeff(q: float, p: float) -> float:
     """Pair-moment coefficient C_p(q) with <r**p> = C_p(q) * b**p.
 
@@ -213,38 +190,25 @@ def inverse_square_coeff(q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_coeffs(prob: Problem, q: float) -> tuple:
-    """(A, C) = (T + v*mu*C_-2, v*lam*C_attract)."""
+def _scale_min(prob: Problem, q: float) -> tuple:
     pot, v = prob.potential, prob.v
     a = kinetic_coeff(q)
     if pot.mu > 0.0:
         a += v * pot.mu * _pair_moment("C_-2", q)
-    return a, v * pot.lam * _ATTRACTION[pot.kind](q)
-
-
-def _scale_min(prob: Problem, q: float) -> tuple:
-    a, c = _reduced_coeffs(prob, q)
-    if prob.potential.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
+    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
+        c = v * pot.lam * _second_moment(q)
         return (a / c) ** 0.25, 2.0 * math.sqrt(a * c)
+    c = v * pot.lam * _pair_moment("C_-1", q)
     return 2.0 * a / c, -c * c / (4.0 * a)
-
-
-def energy_at(prob: Problem, density: TrialDensity) -> float:
-    """Collective-field energy of one trial density (d = 3).
-
-    Oscillator: T/b**2 + v*(lam*C2*b**2 + mu*Cm2/b**2)
-    Kratzer:    T/b**2 + v*(-lam*Cm1/b + mu*Cm2/b**2)
-    """
-    _require_d3(prob)
-    b = density.b
-    a, c = _reduced_coeffs(prob, density.q)
-    if prob.potential.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        return a / (b * b) + c * b * b
-    return a / (b * b) - c / b
 
 
 def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
     """Analytic minimization over the scale b at fixed power q (d = 3).
+
+    The collective-field energy of the trial density at scale b is
+
+    * oscillator: E(b) = T/b**2 + v*(lam*C2*b**2 + mu*Cm2/b**2)
+    * Kratzer:    E(b) = T/b**2 + v*(-lam*Cm1/b + mu*Cm2/b**2)
 
     With A = T(q) + v*mu*C_-2(q):
 

@@ -17,12 +17,9 @@ __all__ = [
     "Potential",
     "Problem",
     "PhysicalSystem",
-    "potential_value",
-    "minimum_point",
     "dimensionless_coupling",
     "recover_energy",
     "delta_exact_energy",
-    "classical_floor",
 ]
 
 
@@ -95,33 +92,6 @@ class PhysicalSystem:
                 raise ValueError(f"{name} must be positive and finite, got {val}")
 
 
-def potential_value(pot: Potential, r: float) -> float:
-    """Evaluate the shape f at radius r > 0."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise ValueError(f"potential_value requires finite r > 0, got {r}")
-    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        return pot.lam * r * r + pot.mu / (r * r)
-    return -pot.lam / r + pot.mu / (r * r)
-
-
-def minimum_point(pot: Potential) -> tuple[float, float]:
-    """Stationary point r_hat of f on (0, inf) and the value f(r_hat).
-
-    Oscillator: r_hat = (mu/lam)**(1/4), f(r_hat) = 2*sqrt(lam*mu); with
-    mu = 0 the minimum degenerates to (0, 0).  Kratzer: r_hat = 2*mu/lam,
-    f(r_hat) = -lam**2/(4*mu); mu = 0 leaves no interior minimum.
-    """
-    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        if pot.mu == 0.0:
-            return 0.0, 0.0
-        r_hat = (pot.mu / pot.lam) ** 0.25
-        return r_hat, 2.0 * math.sqrt(pot.lam * pot.mu)
-    if pot.mu == 0.0:
-        raise ValueError("Kratzer with mu = 0 has no interior minimum")
-    r_hat = 2.0 * pot.mu / pot.lam
-    return r_hat, -pot.lam * pot.lam / (4.0 * pot.mu)
-
-
 def dimensionless_coupling(phys: PhysicalSystem) -> float:
     """v = N*m*V0*a^2 / (2*hbar^2); raises ValueError if it overflows."""
     v = phys.N * phys.m * phys.V0 * phys.a * phys.a / (2.0 * phys.hbar * phys.hbar)
@@ -148,17 +118,3 @@ def delta_exact_energy(N, v: float) -> float:
     if not isinstance(N, int) or N < 2:
         raise ValueError(f"N must be an integer >= 2 or math.inf, got {N!r}")
     return -(1.0 / 6.0) * (1.0 + 1.0 / N) * v * v
-
-
-def classical_floor(pot: Potential, N: int, V0: float) -> float:
-    """Static minimum-energy configuration: N*(N-1)/2 * V0 * f(r_hat).
-
-    The value every pair would contribute if all particles sat at the
-    pairwise minimum; V0 = 0 is allowed and gives 0.
-    """
-    if not isinstance(N, int) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
-    if not (math.isfinite(V0) and V0 >= 0.0):
-        raise ValueError(f"V0 must be non-negative and finite, got {V0}")
-    _, f_hat = minimum_point(pot)
-    return 0.5 * N * (N - 1) * V0 * f_hat

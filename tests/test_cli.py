@@ -15,6 +15,7 @@ import pytest
 
 from bosonbounds import Potential, PhiResult, Problem, bound_report, collective_field
 from bosonbounds.cli import CSV_HEADER, SweepConfig, main, sweep_rows
+from bosonbounds.numerics import QuadratureError
 
 
 def src_env():
@@ -312,6 +313,19 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert "sigma2" in err
+
+    def test_unconverged_quadrature_is_a_numerical_failure(self, capsys, monkeypatch):
+        # QuadratureError is a RuntimeError, so main's RuntimeError clause
+        # turns it into exit 1 with nothing printed on stdout
+        def unconverged(name, q):
+            raise QuadratureError(f"{name} did not converge for q = {q}", (1.0, 2.0))
+
+        monkeypatch.setattr(collective_field, "_pair_moment", unconverged)
+        code, out, err = run_cli(capsys, "bounds", "--potential", "kratzer", "--v", "2", "--phi")
+        assert code == 1
+        assert out == ""
+        assert "numerical failure" in err
+        assert "did not converge" in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

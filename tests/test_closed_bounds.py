@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from bosonbounds import (
     Potential,
@@ -93,6 +94,22 @@ class TestAsymptotes:
     def test_requires_soft_core(self):
         with pytest.raises(ValueError, match="asymptote undefined"):
             asymptotic_bounds(osc(mu=0.0))
+
+    @pytest.mark.parametrize("make", [osc, kra])
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (4.0, 1.0), (1.7, 0.9), (0.3, 2.5)])
+    def test_lower_coefficient_is_the_classical_pair_minimum(self, make, lam, mu):
+        # min over r > 0 of f(r), found numerically in y = ln r
+        prob = make(lam=lam, mu=mu)
+        if make is osc:
+            f = lambda r: lam * r * r + mu / (r * r)
+        else:
+            f = lambda r: -lam / r + mu / (r * r)
+        res = minimize_scalar(
+            lambda y: f(math.exp(y)), bounds=(-10.0, 10.0), method="bounded",
+            options={"xatol": 1e-10},
+        )
+        assert res.success
+        assert asymptotic_bounds(prob)[0] == pytest.approx(res.fun, rel=1e-8)
 
     def test_bounds_approach_asymptotes_at_strong_coupling(self):
         v = 1e6

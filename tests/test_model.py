@@ -4,19 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from bosonbounds import (
     PhysicalSystem,
     Potential,
     PotentialKind,
     Problem,
-    classical_floor,
+    asymptotic_bounds,
     delta_exact_energy,
     dimensionless_coupling,
-    minimum_point,
-    potential_value,
+    lower_bound,
     recover_energy,
 )
+from bosonbounds.radial_oracle import _lowest_eigenvalue
 
 
 class TestPotential:
@@ -71,69 +72,125 @@ class TestProblemAndSystem:
         assert (phys.m, phys.a, phys.hbar) == (1.0, 1.0, 1.0)
 
 
+def eigensolver_shape(monkeypatch, pot, h, n):
+    """The shape f at r = h, 2h, ..., n*h as the radial eigensolver builds it.
+
+    At d = 3 and v = 1 the diagonal the eigensolver hands to
+    eigh_tridiagonal is 2/h**2 + f(r), with no centrifugal term.
+    """
+    real = linalg.eigh_tridiagonal
+    seen = []
+
+    def spy(diag, off, **kwargs):
+        seen.append(diag)
+        return real(diag, off, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigh_tridiagonal", spy)
+    _lowest_eigenvalue(Problem(pot, 3, 1.0), h * (n + 1), n)
+    (diag,) = seen
+    return h * np.arange(1, n + 1), diag - 2.0 / (h * h)
+
+
 class TestPotentialValue:
-    def test_pointwise_values(self):
-        assert potential_value(Potential.oscillator(), 1.0) == pytest.approx(2.0)
-        assert potential_value(Potential.kratzer(), 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert potential_value(Potential.kratzer(), 2.0) == pytest.approx(-0.25)
+    def test_pointwise_values(self, monkeypatch):
+        _, f = eigensolver_shape(monkeypatch, Potential.oscillator(), 1.0, 2)
+        assert f[0] == pytest.approx(2.0)
+        _, f = eigensolver_shape(monkeypatch, Potential.kratzer(), 1.0, 2)
+        assert f[0] == pytest.approx(0.0, abs=1e-15)
+        assert f[1] == pytest.approx(-0.25)
 
     @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive_radius(self, r):
-        with pytest.raises(ValueError):
-            potential_value(Potential.oscillator(), r)
+        # the one length a caller supplies is the range a, the unit of r in
+        # V0*f(r/a); the dimensionless f is only evaluated on the
+        # eigensolver's grid of positive radii
+        with pytest.raises(ValueError, match="a must be positive and finite"):
+            PhysicalSystem(N=2, V0=1.0, a=r)
 
-    def test_oscillator_is_convex(self):
-        pot = Potential.oscillator(1.3, 0.7)
-        r = np.linspace(0.2, 4.0, 200)
-        f = np.array([potential_value(pot, float(x)) for x in r])
+    def test_oscillator_is_convex(self, monkeypatch):
+        _, f = eigensolver_shape(monkeypatch, Potential.oscillator(1.3, 0.7), 0.02, 200)
         assert np.all(np.diff(f, 2) > 0.0)
 
-    def test_kratzer_changes_sign_once_at_mu_over_lam(self):
+    def test_kratzer_changes_sign_once_at_mu_over_lam(self, monkeypatch):
         pot = Potential.kratzer(2.0, 0.5)
         crossing = pot.mu / pot.lam
-        assert potential_value(pot, crossing) == pytest.approx(0.0, abs=1e-14)
-        r = np.linspace(0.01, 10.0, 500)
-        signs = np.sign([potential_value(pot, float(x)) for x in r])
+        r, f = eigensolver_shape(monkeypatch, pot, crossing / 2.0, 79)
+        assert r[1] == crossing
+        assert f[1] == pytest.approx(0.0, abs=1e-14)
+        signs = np.sign(f)
         flips = np.count_nonzero(np.diff(signs[signs != 0]))
         assert flips == 1
-        assert potential_value(pot, 0.5 * crossing) > 0.0
-        assert potential_value(pot, 2.0 * crossing) < 0.0
+        assert f[0] > 0.0
+        assert f[3] < 0.0
 
-    def test_small_r_divergence_and_tails(self):
+    def test_small_r_divergence_and_tails(self, monkeypatch):
         for pot in (Potential.oscillator(1.0, 0.5), Potential.kratzer(1.0, 0.5)):
-            assert potential_value(pot, 1e-8) > 1e12
+            assert eigensolver_shape(monkeypatch, pot, 1e-8, 2)[1][0] > 1e12
         # oscillator blows up at infinity, Kratzer approaches 0 from below
-        assert potential_value(Potential.oscillator(), 1e4) > 1e7
-        far = potential_value(Potential.kratzer(), 1e4)
+        assert eigensolver_shape(monkeypatch, Potential.oscillator(), 1e4, 2)[1][0] > 1e7
+        far = eigensolver_shape(monkeypatch, Potential.kratzer(), 1e4, 2)[1][0]
         assert -1e-3 < far < 0.0
 
 
 class TestMinimumPoint:
-    def test_symmetric_oscillator(self):
-        assert minimum_point(Potential.oscillator()) == pytest.approx((1.0, 2.0))
+    """The eigensolver's f is least at r_hat, where it equals the lower asymptote.
 
-    def test_kratzer(self):
-        assert minimum_point(Potential.kratzer()) == pytest.approx((2.0, -0.25))
+    Oscillator: r_hat = (mu/lam)**(1/4), f(r_hat) = 2*sqrt(lam*mu).
+    Kratzer: r_hat = 2*mu/lam, f(r_hat) = -lam**2/(4*mu).
+    """
 
-    def test_stiff_oscillator(self):
-        r_hat, f_hat = minimum_point(Potential.oscillator(4.0, 1.0))
-        assert r_hat == pytest.approx(0.25**0.25)
+    @staticmethod
+    def least(monkeypatch, pot, r_hat, steps):
+        # a grid with r_hat at node `steps`, running out to 3*r_hat
+        r, f = eigensolver_shape(monkeypatch, pot, r_hat / steps, 3 * steps - 1)
+        i = int(np.argmin(f))
+        assert i == steps - 1
+        assert f[i] == pytest.approx(asymptotic_bounds(Problem(pot, 3, 1.0))[0], rel=1e-12)
+        return r[i], f[i]
+
+    def test_symmetric_oscillator(self, monkeypatch):
+        assert self.least(monkeypatch, Potential.oscillator(), 1.0, 2) == pytest.approx((1.0, 2.0))
+
+    def test_kratzer(self, monkeypatch):
+        assert self.least(monkeypatch, Potential.kratzer(), 2.0, 4) == pytest.approx((2.0, -0.25))
+
+    def test_stiff_oscillator(self, monkeypatch):
+        r_hat, f_hat = self.least(monkeypatch, Potential.oscillator(4.0, 1.0), 0.25**0.25, 4)
         assert r_hat == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
         assert f_hat == pytest.approx(4.0)
 
-    def test_minimum_is_a_minimum(self):
+    def test_minimum_is_a_minimum(self, monkeypatch):
         pot = Potential.kratzer(1.7, 0.9)
-        r_hat, f_hat = minimum_point(pot)
-        for shift in (0.9, 1.1):
-            assert potential_value(pot, r_hat * shift) > f_hat
-        assert potential_value(pot, r_hat) == pytest.approx(f_hat, rel=1e-14)
+        r_hat = 2.0 * pot.mu / pot.lam
+        _, f_hat = self.least(monkeypatch, pot, r_hat, 10)
+        _, f = eigensolver_shape(monkeypatch, pot, r_hat / 10, 29)
+        # r_hat * 0.9 and r_hat * 1.1 are the nodes either side of r_hat
+        assert f[8] > f_hat and f[10] > f_hat
+        assert f_hat == pytest.approx(-pot.lam * pot.lam / (4.0 * pot.mu), rel=1e-12)
 
-    def test_degenerate_oscillator_core(self):
-        assert minimum_point(Potential.oscillator(3.0, 0.0)) == (0.0, 0.0)
+    def test_degenerate_oscillator_core(self, monkeypatch):
+        # without a core f = lam*r**2 falls to 0 at the origin: no interior
+        # minimum, and F2/v goes to that floor of 0 instead of a linear term
+        pot = Potential.oscillator(3.0, 0.0)
+        _, f = eigensolver_shape(monkeypatch, pot, 0.1, 29)
+        assert np.all(np.diff(f) > 0.0)
+        assert f[0] == pytest.approx(0.03, rel=1e-9)
+        with pytest.raises(ValueError, match="asymptote undefined"):
+            asymptotic_bounds(Problem(pot, 3, 1.0))
+        slopes = [lower_bound(Problem(pot, 3, v)) / v for v in (1e2, 1e4, 1e8)]
+        assert slopes == sorted(slopes, reverse=True)
+        assert 0.0 < slopes[-1] < 1e-3
 
-    def test_kratzer_without_core_has_no_minimum(self):
-        with pytest.raises(ValueError, match="no interior minimum"):
-            minimum_point(Potential.kratzer(1.0, 0.0))
+    def test_kratzer_without_core_has_no_minimum(self, monkeypatch):
+        # f = -lam/r is unbounded below at the origin, and so is F2/v
+        pot = Potential.kratzer(1.0, 0.0)
+        _, f = eigensolver_shape(monkeypatch, pot, 1e-6, 99)
+        assert np.all(np.diff(f) > 0.0)
+        assert f[0] == pytest.approx(-1e6)
+        with pytest.raises(ValueError, match="asymptote undefined"):
+            asymptotic_bounds(Problem(pot, 3, 1.0))
+        for v in (1e2, 1e4, 1e8):
+            assert lower_bound(Problem(pot, 3, v)) / v == pytest.approx(-v / 4.0)
 
 
 class TestCouplingAndRecovery:
@@ -184,22 +241,36 @@ class TestDeltaExactEnergy:
                 delta_exact_energy(5, v)
 
 
+def static_floor(pot, phys):
+    """N*(N-1)/2 * V0 * min f, every pair sitting at the minimum of f.
+
+    It is the lower asymptote, coefficient * v, in physical units:
+    (N-1)*hbar**2/(m*a**2) * coefficient * N*m*V0*a**2/(2*hbar**2).
+    """
+    prob = Problem(pot, 3, dimensionless_coupling(phys))
+    return recover_energy(phys, asymptotic_bounds(prob)[0] * prob.v)
+
+
 class TestClassicalFloor:
     def test_reference_points(self):
-        assert classical_floor(Potential.kratzer(), 2, 1.0) == pytest.approx(-0.25)
-        assert classical_floor(Potential.oscillator(), 3, 1.0) == pytest.approx(6.0)
-        assert classical_floor(Potential.kratzer(), 2, 0.0) == 0.0
+        assert static_floor(Potential.kratzer(), PhysicalSystem(N=2, V0=1.0)) == pytest.approx(-0.25)
+        assert static_floor(Potential.oscillator(), PhysicalSystem(N=3, V0=1.0)) == pytest.approx(6.0)
+        # m, a and hbar cancel
+        phys = PhysicalSystem(N=3, V0=1.0, m=2.0, a=0.5, hbar=3.0)
+        assert static_floor(Potential.oscillator(), phys) == pytest.approx(6.0, rel=1e-14)
+        tiny = static_floor(Potential.kratzer(), PhysicalSystem(N=2, V0=1e-12))
+        assert tiny == pytest.approx(-0.25e-12)
 
     def test_pair_count_scaling(self):
         pot = Potential.oscillator(2.0, 3.0)
-        one_pair = classical_floor(pot, 2, 0.5)
-        assert classical_floor(pot, 5, 0.5) == pytest.approx(10.0 * one_pair)
+        one_pair = static_floor(pot, PhysicalSystem(N=2, V0=0.5))
+        assert static_floor(pot, PhysicalSystem(N=5, V0=0.5)) == pytest.approx(10.0 * one_pair)
 
     def test_error_propagation_and_validation(self):
-        with pytest.raises(ValueError, match="no interior minimum"):
-            classical_floor(Potential.kratzer(1.0, 0.0), 2, 1.0)
+        with pytest.raises(ValueError, match="asymptote undefined"):
+            static_floor(Potential.kratzer(1.0, 0.0), PhysicalSystem(N=2, V0=1.0))
         with pytest.raises(ValueError):
-            classical_floor(Potential.oscillator(), 1, 1.0)
+            PhysicalSystem(N=1, V0=1.0)
         for V0 in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                classical_floor(Potential.oscillator(), 2, V0)
+                PhysicalSystem(N=2, V0=V0)
