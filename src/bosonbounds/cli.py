@@ -166,17 +166,19 @@ def cmd_bounds(args) -> int:
 def cmd_physical(args) -> int:
     phys = PhysicalSystem(N=args.N, V0=args.V0, m=args.m, a=args.a, hbar=args.hbar)
     v = dimensionless_coupling(phys)
-    print(f"v               : {_fmt(v)}")
+    # format every line before printing any: a value that overflows prints nothing
+    lines = [f"v               : {_fmt(v)}"]
     if args.delta:
         e_dimless = delta_exact_energy(phys.N, v)
-        print(f"delta F_N(v)    : {_fmt(e_dimless)}")
-        print(f"physical energy : {_fmt(recover_energy(phys, e_dimless))}")
-        return 0
-    report = bound_report(Problem(_potential_from(args), args.d, v), window_only=True)
-    lo, hi = report.lower, report.upper_gaussian
-    print(f"F2 lower        : {_fmt(lo)}")
-    print(f"FG upper        : {_fmt(hi)}")
-    print(f"physical window : [{_fmt(recover_energy(phys, lo))}, {_fmt(recover_energy(phys, hi))}]")
+        lines.append(f"delta F_N(v)    : {_fmt(e_dimless)}")
+        lines.append(f"physical energy : {_fmt(recover_energy(phys, e_dimless))}")
+    else:
+        report = bound_report(Problem(_potential_from(args), args.d, v), window_only=True)
+        lo, hi = report.lower, report.upper_gaussian
+        lines.append(f"F2 lower        : {_fmt(lo)}")
+        lines.append(f"FG upper        : {_fmt(hi)}")
+        lines.append(f"physical window : [{_fmt(recover_energy(phys, lo))}, {_fmt(recover_energy(phys, hi))}]")
+    print("\n".join(lines))
     return 0
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = [
     "MinimizeResult",
@@ -47,16 +46,15 @@ class QuadratureError(RuntimeError):
 _TAU_MAX = 3.5
 
 
-@lru_cache(maxsize=None)
 def tanh_sinh_nodes(level: int):
     """Nodes and weights of the tanh-sinh rule on (0, 1) at a refinement level.
 
     Level ``l >= 1`` uses the trapezoid step ``h = 2**-l`` on the fixed window
     [-3.5, 3.5] in tau, so each level's nodes are every other node of the
-    next.  Returns ``(x, one_minus_x, w, log_x)`` as read-only float64
-    arrays.  ``one_minus_x`` comes from the exponent, never by subtraction,
-    so it keeps full relative precision where x rounds to 1.0; ``log_x``
-    lets integrands with x**q be formed as exp(q*log_x).
+    next, at twice the weight.  Returns ``(x, one_minus_x, w, log_x)`` as
+    float64 arrays.  ``one_minus_x`` comes from the exponent, never by
+    subtraction, so it keeps full relative precision where x rounds to 1.0;
+    ``log_x`` lets integrands with x**q be formed as exp(q*log_x).
     """
     # imported here: numpy dominates package import time, and the
     # closed-form commands never build an array
@@ -70,8 +68,6 @@ def tanh_sinh_nodes(level: int):
     one_minus_x = 1.0 / (1.0 + np.exp(u))
     w = h * math.pi * np.cosh(tau) * x * one_minus_x
     log_x = -np.log1p(np.exp(-u))
-    for arr in (x, one_minus_x, w, log_x):
-        arr.flags.writeable = False
     return x, one_minus_x, w, log_x
 
 

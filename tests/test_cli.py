@@ -285,12 +285,24 @@ class TestUsageErrors:
             ("bounds", "--v", "1e200"),
             ("physical", "--N", "1000", "--V0", "1e308", "--delta"),
             ("physical", "--N", "1000", "--V0", "1e300", "--delta"),
+            # FG overflows inside bound_report
+            ("physical", "--N", "1000000", "--V0", "1e300"),
+            # the physical energy overflows after F2 and FG are formatted
+            ("physical", "--N", str(10**308), "--V0", "1e-300"),
         ],
     )
     def test_overflow_exits_nonzero_without_printing_it(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         assert code != 0
-        assert "inf" not in out and "nan" not in out
+        assert out == ""
+
+    def test_unwritable_out_file_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "sweep", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert not target.exists() and not target.parent.exists()
 
     def test_only_the_printed_numbers_are_checked(self, capsys):
         # sigma2 overflows at these Kratzer couplings; physical does not print

@@ -184,11 +184,12 @@ class TestMomentCoeffs:
             inverse_square_coeff(0.4)
 
     def test_unconverged_rule_raises_with_both_estimates(self, monkeypatch):
-        # the first two levels alone cannot agree to 1e-16, so both certified
-        # moments must raise rather than return (called past their per-q caches)
+        # levels 3 and 4, both read in one pass over level 4, cannot agree to
+        # 1e-16, so both certified moments must raise rather than return
+        # (called past their per-q caches)
         q = 5.2468
         moments = (("C_-2", inverse_square_coeff), ("C_-1", lambda qq: moment_coeff(qq, -1)))
-        monkeypatch.setattr(collective_field, "_MAX_LEVEL", collective_field._MIN_LEVEL + 1)
+        monkeypatch.setattr(collective_field, "_MAX_LEVEL", collective_field._MIN_LEVEL)
         monkeypatch.setattr(collective_field, "_RTOL", 1e-16)
         errors = []
         for name, _ in moments:
@@ -202,6 +203,25 @@ class TestMomentCoeffs:
             for est in (lo, hi):
                 assert est == pytest.approx(coeff(q), rel=1e-6)
 
+    def test_each_visited_level_is_evaluated_once(self, monkeypatch):
+        # one pass over level 4 certifies it against level 3 on its even
+        # nodes, across the scan grid; at q = 1000 the rule must go on to 5
+        weighted_kernel = collective_field._weighted_kernel
+        seen = []
+
+        def spy(name, level):
+            seen.append(level)
+            return weighted_kernel(name, level)
+
+        monkeypatch.setattr(collective_field, "_weighted_kernel", spy)
+        for q in collective_field._SCAN_Q:
+            for name in ("C_-1", "C_-2"):
+                collective_field._pair_moment.__wrapped__(name, q)
+        assert seen == [4] * 2 * len(collective_field._SCAN_Q)
+        seen.clear()
+        collective_field._pair_moment.__wrapped__("C_-1", 1000.0)
+        assert seen == [4, 5]
+
 
 class TestIndependentReference:
     """The closed forms and the C_-2 rule against adaptive quadrature."""
@@ -211,7 +231,7 @@ class TestIndependentReference:
         assert moment_coeff(q, 2) == pytest.approx(ref_c2(q), rel=1e-10)
         assert moment_coeff(q, -1) == pytest.approx(ref_cm1(q), rel=1e-10)
 
-    @pytest.mark.parametrize("q", [0.62, 1.0, 2.0, 3.3, 5.0305, 8.0, 12.0])
+    @pytest.mark.parametrize("q", [0.62, 1.0, 2.0, 3.3, 5.0305, 8.0, 12.0, 1000.0])
     def test_inverse_moment_matches_incomplete_beta(self, q):
         # by the shell theorem C_-1 = E[1/max(s, t)]; with s**q and t**q
         # Gamma(3/q) variables that is a regularized incomplete beta
@@ -371,6 +391,19 @@ class TestOptimize:
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "bracket edge q = 4" in caplog.text
         assert res.q_opt == pytest.approx(4.0, abs=1e-6)
+
+    def test_several_scan_minima_are_logged(self, monkeypatch, caplog):
+        # two valleys on the scan grid, the deeper one at q = 2
+        def two_valleys(prob, q):
+            return 1.0, -math.exp(-((q - 2.0) ** 2)) - 0.5 * math.exp(-((q - 8.0) ** 2))
+
+        monkeypatch.setattr(collective_field, "_scale_min", two_valleys)
+        with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
+            res = optimize(osc(v=2.0))
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "2 local minima" in caplog.text
+        assert res.q_opt == pytest.approx(2.0, abs=1e-6)
+        assert res.energy == pytest.approx(-1.0, rel=1e-12)
 
     @pytest.mark.parametrize("v", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0])
     @pytest.mark.parametrize("make", [osc, kra])
