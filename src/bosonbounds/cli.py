@@ -222,39 +222,30 @@ def _checks_qcal():
     return out
 
 
-def _checks_gaussian():
-    import numpy as np
+# every bound depends on (lam, mu, v) only through g = v*mu and a positive
+# unit (tests/test_properties.py), so these groups check unit problems
+# lam = v = 1 at the soft-core couplings g
+_UNIT_G = (0.0, 0.05, 0.5, 2.0, 5.0, 20.0, 100.0)
 
-    rng = np.random.default_rng(0)
+
+def _unit_checks(label, dims, numeric, exact, tol):
     out = []
     for kind in ("oscillator", "kratzer"):
-        worst = 0.0
-        for _ in range(20):
-            lam = float(rng.uniform(0.2, 5.0))
-            mu = float(rng.uniform(0.2, 5.0))
-            v = float(rng.uniform(0.5, 20.0))
-            prob = Problem(Potential(PotentialKind(kind), lam, mu), 3, v)
-            _, energy = collective_field.minimize_scale(prob, 2.0)
-            ref = gaussian_upper(prob)
-            worst = max(worst, abs(energy - ref) / abs(ref))
-        out.append((f"{kind} q=2 equals Gaussian bound (max rel dev)", worst, 0.0, 1e-7))
+        probs = [Problem(Potential(PotentialKind(kind), 1.0, g), d, 1.0) for d in dims for g in _UNIT_G]
+        worst = max(abs(numeric(prob) / exact(prob) - 1.0) for prob in probs)
+        out.append((f"{kind} {label} (max rel dev)", worst, 0.0, tol))
     return out
+
+
+def _checks_gaussian():
+    def at_q2(prob):
+        return collective_field.minimize_scale(prob, 2.0)[1]
+
+    return _unit_checks("q=2 equals Gaussian bound", (3,), at_q2, gaussian_upper, 1e-7)
 
 
 def _checks_oracle():
-    out = []
-    for kind in ("oscillator", "kratzer"):
-        worst = 0.0
-        for lam in (0.5, 2.0):
-            for mu in (0.0, 0.05, 0.5, 2.0):
-                for v in (1.0, 10.0):
-                    for d in (3, 4, 5):
-                        prob = Problem(Potential(PotentialKind(kind), lam, mu), d, v)
-                        exact = lower_bound(prob)
-                        numeric = radial_oracle.ground_energy(prob)
-                        worst = max(worst, abs(numeric - exact) / abs(exact))
-        out.append((f"{kind} eigensolver vs closed form (max rel dev)", worst, 0.0, 1e-5))
-    return out
+    return _unit_checks("eigensolver vs closed form", (3, 4, 5), radial_oracle.ground_energy, lower_bound, 1e-5)
 
 
 _VERIFY_GROUPS = {

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .model import PotentialKind, Problem
+from .model import Potential, PotentialKind, Problem
 from .numerics import QuadratureError, minimize_1d, tanh_sinh_nodes
 
 __all__ = [
@@ -45,8 +45,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# q search bracket: optima for v <= 40 and mu <= 3 lie in about [1.6, 7.3];
-# the wide bracket guards against edge optima while respecting q > 1/2.
+# q search bracket: q_opt depends only on the kind and g = v*mu; at every g
+# sampled it rises from 2 (oscillator) and 1.6013 (Kratzer) at g = 0 towards
+# 9.4251 and 4.9880 as g grows, inside the bracket; q > 1/2 bounds it below.
 _Q_LO, _Q_HI = 0.62, 12.0
 
 # C_-1 and C_-2 are accepted once two successive levels of the (0, 1) rule
@@ -232,14 +233,22 @@ _SCAN_Q = tuple(_Q_LO + i * ((_Q_HI - _Q_LO) / 31) for i in range(31)) + (_Q_HI,
 def optimize(prob: Problem) -> PhiResult:
     """Minimize the scale-reduced energy over the power q (d = 3).
 
-    A 32-point scan over the bracket [0.62, 12] locates the valley, then
-    golden-section/parabolic refinement polishes the minimizer.  Two scan
-    shapes are logged as warnings: multiple local minima (the energy curves
-    seen in practice are unimodal in q) and a lowest point on the bracket
-    edge, where the result is one-sided.
+    E(q) is a positive unit fixed by v*lam times E(q) of the unit problem
+    lam = v = 1, mu = g = v*mu, so q_opt depends only on the kind and g, and
+    the search runs on the unit problem.  A 32-point scan over the bracket
+    [0.62, 12] locates the valley, golden-section/parabolic refinement
+    polishes the minimizer, and energy and b_opt are evaluated on ``prob``.
+    Two scan shapes are logged as warnings: multiple local minima (the
+    energy curves seen in practice are unimodal in q) and a lowest point on
+    the bracket edge, where the result is one-sided.  Raises
+    ``OverflowError`` when g is not finite.
     """
     _require_d3(prob)
-    scan = [_scale_min(prob, q)[1] for q in _SCAN_Q]
+    g = prob.v * prob.potential.mu
+    if not math.isfinite(g):
+        raise OverflowError(f"soft-core coupling g = v*mu is not finite, got {g}")
+    unit = Problem(Potential(prob.potential.kind, 1.0, g), 3, 1.0)
+    scan = [_scale_min(unit, q)[1] for q in _SCAN_Q]
     interior_minima = sum(
         1
         for i in range(1, len(scan) - 1)
@@ -258,7 +267,7 @@ def optimize(prob: Problem) -> PhiResult:
         )
     lo = _SCAN_Q[max(i0 - 1, 0)]
     hi = _SCAN_Q[min(i0 + 1, len(_SCAN_Q) - 1)]
-    res = minimize_1d(lambda q: minimize_scale(prob, q)[1], lo, hi, 1e-8)
+    res = minimize_1d(lambda q: minimize_scale(unit, q)[1], lo, hi, 1e-8)
     b_opt, energy = minimize_scale(prob, res.x_min)
     return PhiResult(energy=energy, q_opt=res.x_min, b_opt=b_opt, converged=res.converged)
 
@@ -291,18 +300,22 @@ def delta_1d_phi(v: float, q: Optional[float] = None) -> PhiResult:
     energy = -v**2 U1**2/(4 T1)) and over q numerically unless ``q`` is
     given, in which case only the scale is optimized.  At q = 2 the value
     is exactly -v**2/(2*pi); the full optimum sits near q = 1.612.  The
-    energy scales exactly as v**2.
+    energy scales exactly as v**2, so q is searched at v = 1 and q_opt does
+    not depend on v.  Raises ``OverflowError`` when the energy or the width
+    at the returned q is not finite.
     """
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"v must be positive and finite, got {v}")
 
-    def scale_min(qq: float) -> tuple:
+    def scale_min(qq: float, v: float = v) -> tuple:
         t1, u1 = _delta_coeffs(qq)
         return 2.0 * t1 / (v * u1), -v * v * u1 * u1 / (4.0 * t1)
 
-    if q is not None:
-        b_opt, energy = scale_min(q)
-        return PhiResult(energy=energy, q_opt=q, b_opt=b_opt, converged=True)
-    res = minimize_1d(lambda qq: scale_min(qq)[1], _Q_LO, _Q_HI, 1e-10)
-    b_opt, energy = scale_min(res.x_min)
-    return PhiResult(energy=energy, q_opt=res.x_min, b_opt=b_opt, converged=res.converged)
+    converged = True
+    if q is None:
+        res = minimize_1d(lambda qq: scale_min(qq, 1.0)[1], _Q_LO, _Q_HI, 1e-10)
+        q, converged = res.x_min, res.converged
+    b_opt, energy = scale_min(q)
+    if not (math.isfinite(energy) and math.isfinite(b_opt)):
+        raise OverflowError(f"delta-model bound at v = {v} is not finite: energy {energy}, b {b_opt}")
+    return PhiResult(energy=energy, q_opt=q, b_opt=b_opt, converged=converged)

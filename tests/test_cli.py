@@ -279,21 +279,26 @@ class TestUsageErrors:
         assert message in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, exit_code",
         [
-            ("bounds", "--v", "1e300", "--potential", "kratzer"),
-            ("bounds", "--v", "1e200"),
-            ("physical", "--N", "1000", "--V0", "1e308", "--delta"),
-            ("physical", "--N", "1000", "--V0", "1e300", "--delta"),
+            (("bounds", "--v", "1e300", "--potential", "kratzer"), 1),
+            (("bounds", "--v", "1e200"), 1),
+            # the coupling v itself overflows: a usage error
+            (("physical", "--N", "1000", "--V0", "1e308", "--delta"), 2),
+            (("physical", "--N", "1000", "--V0", "1e300", "--delta"), 1),
             # FG overflows inside bound_report
-            ("physical", "--N", "1000000", "--V0", "1e300"),
+            (("physical", "--N", "1000000", "--V0", "1e300"), 1),
             # the physical energy overflows after F2 and FG are formatted
-            ("physical", "--N", str(10**308), "--V0", "1e-300"),
+            (("physical", "--N", str(10**308), "--V0", "1e-300"), 1),
+            # the soft-core coupling g = v*mu overflows inside optimize
+            (("bounds", "--v", "1e300", "--mu", "1e10", "--phi"), 1),
+            (("bounds", "--v", "1e300", "--mu", "1e10", "--phi", "--potential", "kratzer"), 1),
         ],
+        ids=[f"argv{i}" for i in range(8)],
     )
-    def test_overflow_exits_nonzero_without_printing_it(self, capsys, argv):
+    def test_overflow_exits_nonzero_without_printing_it(self, capsys, argv, exit_code):
         code, out, _ = run_cli(capsys, *argv)
-        assert code != 0
+        assert code == exit_code
         assert out == ""
 
     def test_unwritable_out_file_is_an_error(self, capsys, tmp_path):

@@ -244,6 +244,26 @@ class TestIndependentReference:
     def test_inverse_square_matches_nested_quadrature(self, q):
         assert inverse_square_coeff(q) == pytest.approx(ref_cm2(q), rel=1e-10)
 
+    @pytest.mark.parametrize("q", [0.51, 2.0, 45.0, 46.0, 1e3, 1e4])
+    def test_inverse_square_matches_split_quadrature(self, q):
+        # the (0, 1) integral of C_-2 by adaptive quadrature, split at
+        # 1 - 1/q where (1 + x**q)**(-4/q) steps down at large q; 45 and 46
+        # lie on either side of the rule's switch from level 4 to level 5
+        def integrand(x):
+            return x * (math.log1p(x) - math.log1p(-x)) * (1.0 + x**q) ** (-4.0 / q)
+
+        split = max(0.5, 1.0 - 1.0 / q)
+        opts = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+        integral = quad(integrand, 0.0, split, **opts)[0] + quad(integrand, split, 1.0, **opts)[0]
+        expect = q * math.gamma(4.0 / q) / math.gamma(3.0 / q) ** 2 * integral
+        assert inverse_square_coeff(q) == pytest.approx(expect, rel=1e-13)
+
+    def test_ball_limits(self):
+        # as q grows the density tends to the uniform unit ball, whose pair
+        # moments are <1/|r - r'|> = 6/5 and <1/|r - r'|**2> = 9/4
+        assert moment_coeff(1e6, -1) == pytest.approx(1.2, rel=1e-5)
+        assert inverse_square_coeff(1e6) == pytest.approx(2.25, rel=1e-5)
+
     def test_strong_coupling_optimum_beats_the_reference_power(self):
         # oscillator, lam = mu = 1, v = 20: E(q) = 2 sqrt((T + v Cm2) v C2)
         # from the reference moments alone; the reference power 4.460 gives
@@ -405,6 +425,28 @@ class TestOptimize:
         assert res.q_opt == pytest.approx(2.0, abs=1e-6)
         assert res.energy == pytest.approx(-1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("make, q_ends", [(osc, (2.0, 9.425073)), (kra, (1.601319, 4.987986))])
+    def test_optimum_rises_with_g_inside_the_bracket(self, make, q_ends, caplog):
+        # lam = v = 1, so mu is the soft-core coupling g itself
+        with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
+            q = [optimize(make(mu=g)).q_opt for g in (0.0, 1e-3, 1.0, 1e3, 1e8, 1e15)]
+        assert caplog.records == []
+        assert q == sorted(q)
+        assert (q[0], q[-1]) == pytest.approx(q_ends, abs=2e-5)
+
+    @pytest.mark.parametrize("make, mu, v", [(kra, 0.0, 1e-160), (kra, 0.0, 1e-300), (osc, 1.0, 1e300)])
+    def test_extreme_couplings_find_the_unit_optimum(self, make, mu, v, caplog):
+        # the energies of these problems under- or overflow at every q, while
+        # those of the unit problem lam = v = 1, mu = v*mu stay finite
+        with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
+            res = optimize(make(mu=mu, v=v))
+        assert caplog.records == []
+        assert res.q_opt == optimize(make(mu=v * mu)).q_opt
+
+    def test_overflowing_soft_core_coupling_raises(self):
+        with pytest.raises(OverflowError, match=r"g = v\*mu"):
+            optimize(osc(mu=1e10, v=1e300))
+
     @pytest.mark.parametrize("v", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0])
     @pytest.mark.parametrize("make", [osc, kra])
     def test_upper_bound_chain(self, make, v):
@@ -435,6 +477,17 @@ class TestDelta1d:
     def test_energy_scales_as_v_squared(self, v):
         base = delta_1d_phi(1.0).energy
         assert delta_1d_phi(v).energy == pytest.approx(v * v * base, rel=1e-8)
+
+    def test_optimum_power_does_not_depend_on_v(self):
+        # E scales as v**2, so the search runs at v = 1 for every v
+        assert {delta_1d_phi(v).q_opt for v in (1e-200, 1.0, 7.3, 1e100)} == {delta_1d_phi(1.0).q_opt}
+
+    @pytest.mark.parametrize("v, q", [(1e200, None), (1e200, 2.0), (1e-310, None)])
+    def test_overflowing_result_raises(self, v, q):
+        # the energy -v**2 U1**2/(4 T1) overflows to -inf at v = 1e200, and
+        # the width 2 T1/(v U1) to inf at v = 1e-310
+        with pytest.raises(OverflowError, match="not finite"):
+            delta_1d_phi(v, q=q)
 
     @pytest.mark.parametrize("q", [1.2, 2.0, 3.5])
     def test_coefficients_agree_with_direct_quadrature(self, q):

@@ -4,7 +4,16 @@ Each property draws the potential kind, the dimension and log-uniform
 couplings; the collective-field properties hold d = 3, the one dimension
 that bound covers.  The draws are derandomized, so every run checks the same
 examples and the suite stays deterministic.
+
+The unit-scaling properties carry every layer's result from the unit problem
+lam = v = 1, mu = g = v*mu to the problem (lam, mu, v).  Put r = s*rho with
+s = (v*lam)**(-1/4) (oscillator) or s = 1/(v*lam) (Kratzer): the operator
+-Laplacian + v*f(r) becomes E times -Laplacian + f_1(rho), with the energy
+unit E = sqrt(v*lam) or (v*lam)**2 and f_1 = rho**2 + g/rho**2 or
+-1/rho + g/rho**2.  A lam or v misplaced in any layer breaks them.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +27,9 @@ from bosonbounds import (
     ground_energy,
     lower_bound,
     minimize_scale,
+    moment_coeff,
     optimize,
+    sigma2_gaussian,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -40,6 +51,15 @@ def problem(kind, lam, mu, d, v):
     return Problem(Potential(kind, lam, mu), d, v)
 
 
+def unit_problem(kind, lam, mu, d, v):
+    """The unit problem of (lam, mu, v), its energy unit and its length unit."""
+    unit = problem(kind, 1.0, v * mu, d, 1.0)
+    vl = v * lam
+    if kind is PotentialKind.SOFT_CORE_OSCILLATOR:
+        return unit, math.sqrt(vl), vl**-0.25
+    return unit, vl * vl, 1.0 / vl
+
+
 # a call costs about 1.5 ms, so the eigensolver affords a wider search
 @settings(PROPERTY, max_examples=200)
 @given(KINDS, LAMS, MUS, DIMENSIONS, VS)
@@ -58,11 +78,57 @@ def test_lower_bound_never_exceeds_the_gaussian_bound(kind, lam, mu, d, v):
 @PROPERTY
 @given(KINDS, LAMS, MUS, DIMENSIONS, VS)
 def test_coupling_scales_into_the_potential(kind, lam, mu, d, v):
-    # v multiplies the whole pair potential, so F(v; lam, mu) = F(1; v*lam, v*mu)
+    # v multiplies the whole pair potential, so F(v; lam, mu) = F(1; v*lam, v*mu),
+    # and the units carry the unit problem's bounds and width to (lam, mu, v)
     scaled = problem(kind, v * lam, v * mu, d, 1.0)
     prob = problem(kind, lam, mu, d, v)
+    unit, energy, length = unit_problem(kind, lam, mu, d, v)
     for bound in (lower_bound, gaussian_upper):
         assert bound(prob) == pytest.approx(bound(scaled), rel=1e-12)
+        assert bound(prob) == pytest.approx(energy * bound(unit), rel=1e-12)
+    assert sigma2_gaussian(prob) == pytest.approx(length**2 * sigma2_gaussian(unit), rel=1e-12)
+
+
+@PROPERTY
+@given(KINDS, LAMS, MUS, VS, st.floats(0.62, 12.0))
+def test_scale_minimum_scales_onto_the_unit_problem(kind, lam, mu, v, q):
+    unit, energy, length = unit_problem(kind, lam, mu, 3, v)
+    b_opt, e_min = minimize_scale(problem(kind, lam, mu, 3, v), q)
+    b_unit, e_unit = minimize_scale(unit, q)
+    assert e_min == pytest.approx(energy * e_unit, rel=1e-12)
+    assert b_opt == pytest.approx(length * b_unit, rel=1e-12)
+
+
+@PROPERTY
+@given(KINDS, LAMS, MUS, VS)
+def test_optimum_power_depends_only_on_the_kind_and_g(kind, lam, mu, v):
+    unit, energy, length = unit_problem(kind, lam, mu, 3, v)
+    res, ref = optimize(problem(kind, lam, mu, 3, v)), optimize(unit)
+    assert res.q_opt == ref.q_opt
+    assert res.energy == pytest.approx(energy * ref.energy, rel=1e-12)
+    assert res.b_opt == pytest.approx(length * ref.b_opt, rel=1e-12)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(KINDS, LAMS, MUS, DIMENSIONS, VS)
+def test_eigensolver_scales_onto_the_unit_problem(kind, lam, mu, d, v):
+    # the grid and the Richardson chain are laid out in units of the Gaussian
+    # width, so both solves run the same steps up to rounding
+    unit, energy, _ = unit_problem(kind, lam, mu, d, v)
+    assert ground_energy(problem(kind, lam, mu, d, v)) == pytest.approx(
+        energy * ground_energy(unit), rel=1e-9
+    )
+
+
+@settings(PROPERTY, max_examples=200)
+@given(log_uniform(math.log10(0.51), 4.0))
+def test_inverse_moment_is_certified_over_the_whole_q_range(q):
+    # C_-1 = E[1/max(s, t)] is a regularized incomplete beta function at 1/2
+    # (DLMF 8.17); the q range spans both quadrature levels the rule reaches
+    from scipy.special import betainc
+
+    expect = 2.0 * math.gamma(2.0 / q) / math.gamma(3.0 / q) * float(betainc(3.0 / q, 2.0 / q, 0.5))
+    assert moment_coeff(q, -1) == pytest.approx(expect, rel=1e-13)
 
 
 @PROPERTY
