@@ -12,11 +12,11 @@ to dimensionless coefficients times powers of the scale b:
     <KE> = T(q)/b**2,   <r**p> = C_p(q) * b**p
 
 so minimization over b is analytic and only the power q is optimized
-numerically.  T(q) and C_2(q) are Gamma ratios.  For C_-1(q) and the
-soft-core moment C_-2(q) the substitution t = x*s between the two radii
-turns the double radial integral into a Gamma function times one integral
-over x in (0, 1); it is evaluated with the tanh-sinh rule from
-``numerics``, refined level by level until two levels agree.
+numerically, by one Brent search on [0.62, 12].  T(q) and C_2(q) are Gamma
+ratios.  For C_-1(q) and the soft-core moment C_-2(q) the substitution
+t = x*s between the two radii turns the double radial integral into a Gamma
+function times one integral over x in (0, 1); it is evaluated with the
+tanh-sinh rule from ``numerics``, refined level by level until two agree.
 
 The 1-D delta-interaction model used for calibration lives here too: its
 functional on the same family is fully closed-form.
@@ -45,9 +45,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# q search bracket: q_opt depends only on the kind and g = v*mu; at every g
-# sampled it rises from 2 (oscillator) and 1.6013 (Kratzer) at g = 0 towards
-# 9.4251 and 4.9880 as g grows, inside the bracket; q > 1/2 bounds it below.
+# bracket of both q searches (optimize and delta_1d_phi): q_opt depends only
+# on the kind and g = v*mu; at every g sampled it rises from 2 (oscillator)
+# and 1.6013 (Kratzer) at g = 0 towards 9.4251 and 4.9880 as g grows, inside
+# the bracket, and the 1-D delta optimum is 1.6121; q > 1/2 bounds it below.
 _Q_LO, _Q_HI = 0.62, 12.0
 
 # C_-1 and C_-2 are accepted once two successive levels of the (0, 1) rule
@@ -192,18 +193,6 @@ def inverse_square_coeff(q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scale_min(prob: Problem, q: float) -> tuple:
-    pot, v = prob.potential, prob.v
-    a = kinetic_coeff(q)
-    if pot.mu > 0.0:
-        a += v * pot.mu * _pair_moment("C_-2", q)
-    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
-        c = v * pot.lam * _second_moment(q)
-        return (a / c) ** 0.25, 2.0 * math.sqrt(a * c)
-    c = v * pot.lam * _pair_moment("C_-1", q)
-    return 2.0 * a / c, -c * c / (4.0 * a)
-
-
 def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
     """Analytic minimization over the scale b at fixed power q (d = 3).
 
@@ -217,17 +206,23 @@ def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
     * oscillator, B = v*lam*C2(q):  b_opt = (A/B)**(1/4), energy = 2*sqrt(A*B)
     * Kratzer,    C = v*lam*C_-1(q): b_opt = 2*A/C,        energy = -C**2/(4*A)
 
-    Returns (b_opt, energy).
+    Returns (b_opt, energy); raises ``OverflowError`` if either is not finite.
     """
     _require_d3(prob)
     _require_q(q)
-    return _scale_min(prob, q)
-
-
-# one coarse scan grid shared by every optimize call; the moments along it
-# do not depend on v, so the scan is nearly free after the first row of a
-# sweep (per-q results are cached)
-_SCAN_Q = tuple(_Q_LO + i * ((_Q_HI - _Q_LO) / 31) for i in range(31)) + (_Q_HI,)
+    pot, v = prob.potential, prob.v
+    a = kinetic_coeff(q)
+    if pot.mu > 0.0:
+        a += v * pot.mu * _pair_moment("C_-2", q)
+    if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
+        c = v * pot.lam * _second_moment(q)
+        b_opt, energy = (a / c) ** 0.25, 2.0 * math.sqrt(a * c)
+    else:
+        c = v * pot.lam * _pair_moment("C_-1", q)
+        b_opt, energy = 2.0 * a / c, -c * c / (4.0 * a)
+    if not (math.isfinite(energy) and math.isfinite(b_opt)):
+        raise OverflowError(f"collective-field bound at q = {q} is not finite: energy {energy}, b {b_opt}")
+    return b_opt, energy
 
 
 def optimize(prob: Problem) -> PhiResult:
@@ -235,39 +230,24 @@ def optimize(prob: Problem) -> PhiResult:
 
     E(q) is a positive unit fixed by v*lam times E(q) of the unit problem
     lam = v = 1, mu = g = v*mu, so q_opt depends only on the kind and g, and
-    the search runs on the unit problem.  A 32-point scan over the bracket
-    [0.62, 12] locates the valley, golden-section/parabolic refinement
-    polishes the minimizer, and energy and b_opt are evaluated on ``prob``.
-    Two scan shapes are logged as warnings: multiple local minima (the
-    energy curves seen in practice are unimodal in q) and a lowest point on
-    the bracket edge, where the result is one-sided.  Raises
-    ``OverflowError`` when g is not finite.
+    the search runs on the unit problem: one golden-section/parabolic
+    (Brent) search over the bracket [0.62, 12], on which E(q) has a single
+    interior minimum at every g tested.  Energy and b_opt are then evaluated
+    on ``prob``.  A minimizer on the bracket edge is logged as a warning,
+    since the result is then one-sided.  Raises ``OverflowError`` when g or
+    any energy or width it computes is not finite.
     """
     _require_d3(prob)
     g = prob.v * prob.potential.mu
     if not math.isfinite(g):
         raise OverflowError(f"soft-core coupling g = v*mu is not finite, got {g}")
     unit = Problem(Potential(prob.potential.kind, 1.0, g), 3, 1.0)
-    scan = [_scale_min(unit, q)[1] for q in _SCAN_Q]
-    interior_minima = sum(
-        1
-        for i in range(1, len(scan) - 1)
-        if scan[i] < scan[i - 1] and scan[i] < scan[i + 1]
-    )
-    if interior_minima > 1:
+    res = minimize_1d(lambda q: minimize_scale(unit, q)[1], _Q_LO, _Q_HI, 1e-8)
+    if min(res.x_min - _Q_LO, _Q_HI - res.x_min) < 1e-6:
         logger.warning(
-            "energy scan over q found %d local minima; result may be local",
-            interior_minima,
+            "energy over q is lowest at the bracket edge q = %g; result is one-sided",
+            res.x_min,
         )
-    i0 = scan.index(min(scan))
-    if i0 in (0, len(scan) - 1):
-        logger.warning(
-            "energy scan over q is lowest at the bracket edge q = %g; result is one-sided",
-            _SCAN_Q[i0],
-        )
-    lo = _SCAN_Q[max(i0 - 1, 0)]
-    hi = _SCAN_Q[min(i0 + 1, len(_SCAN_Q) - 1)]
-    res = minimize_1d(lambda q: minimize_scale(unit, q)[1], lo, hi, 1e-8)
     b_opt, energy = minimize_scale(prob, res.x_min)
     return PhiResult(energy=energy, q_opt=res.x_min, b_opt=b_opt, converged=res.converged)
 

@@ -6,6 +6,7 @@ module entry point itself.
 """
 
 import json
+import logging
 import math
 import os
 import subprocess
@@ -293,13 +294,17 @@ class TestUsageErrors:
             # the soft-core coupling g = v*mu overflows inside optimize
             (("bounds", "--v", "1e300", "--mu", "1e10", "--phi"), 1),
             (("bounds", "--v", "1e300", "--mu", "1e10", "--phi", "--potential", "kratzer"), 1),
+            # g is finite, but the unit problem's energy overflows in the q search
+            (("bounds", "--v", "1", "--mu", "1e308", "--phi"), 1),
         ],
-        ids=[f"argv{i}" for i in range(8)],
+        ids=[f"argv{i}" for i in range(9)],
     )
-    def test_overflow_exits_nonzero_without_printing_it(self, capsys, argv, exit_code):
-        code, out, _ = run_cli(capsys, *argv)
+    def test_overflow_exits_nonzero_without_printing_it(self, capsys, caplog, argv, exit_code):
+        with caplog.at_level(logging.WARNING):
+            code, out, _ = run_cli(capsys, *argv)
         assert code == exit_code
         assert out == ""
+        assert caplog.records == []
 
     def test_unwritable_out_file_is_an_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.csv"

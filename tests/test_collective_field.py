@@ -205,7 +205,7 @@ class TestMomentCoeffs:
 
     def test_each_visited_level_is_evaluated_once(self, monkeypatch):
         # one pass over level 4 certifies it against level 3 on its even
-        # nodes, across the scan grid; at q = 1000 the rule must go on to 5
+        # nodes, across the q bracket; at q = 1000 the rule must go on to 5
         weighted_kernel = collective_field._weighted_kernel
         seen = []
 
@@ -214,10 +214,11 @@ class TestMomentCoeffs:
             return weighted_kernel(name, level)
 
         monkeypatch.setattr(collective_field, "_weighted_kernel", spy)
-        for q in collective_field._SCAN_Q:
+        grid = np.linspace(0.62, 12.0, 32)
+        for q in grid:
             for name in ("C_-1", "C_-2"):
-                collective_field._pair_moment.__wrapped__(name, q)
-        assert seen == [4] * 2 * len(collective_field._SCAN_Q)
+                collective_field._pair_moment.__wrapped__(name, float(q))
+        assert seen == [4] * 2 * len(grid)
         seen.clear()
         collective_field._pair_moment.__wrapped__("C_-1", 1000.0)
         assert seen == [4, 5]
@@ -394,36 +395,40 @@ class TestOptimize:
         assert b_again == pytest.approx(res.b_opt, rel=1e-12)
         assert e_again == pytest.approx(res.energy, rel=1e-12)
 
-    def test_scan_grid_is_numpy_linspace(self):
-        # the grid is built without numpy; it must stay the same 32 doubles
-        assert collective_field._SCAN_Q == tuple(np.linspace(0.62, 12.0, 32))
-
     def test_scan_minimum_on_the_bracket_edge_is_logged(self, monkeypatch, caplog):
         logger = "bosonbounds.collective_field"
         with caplog.at_level(logging.WARNING, logger=logger):
             optimize(osc(v=2.0))
         assert caplog.records == []
-        # a scan grid lying wholly above the optimum (q = 2.8587) is lowest
-        # at its first point, so the refined result sits on that edge
-        monkeypatch.setattr(collective_field, "_SCAN_Q", (4.0, 5.0, 6.0, 7.0))
+        # a bracket lying wholly above the optimum (q = 2.8587) is lowest at
+        # its lower end, so the search ends on that edge
+        monkeypatch.setattr(collective_field, "_Q_LO", 4.0)
         with caplog.at_level(logging.WARNING, logger=logger):
             res = optimize(osc(v=2.0))
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "bracket edge q = 4" in caplog.text
         assert res.q_opt == pytest.approx(4.0, abs=1e-6)
 
-    def test_several_scan_minima_are_logged(self, monkeypatch, caplog):
-        # two valleys on the scan grid, the deeper one at q = 2
-        def two_valleys(prob, q):
-            return 1.0, -math.exp(-((q - 2.0) ** 2)) - 0.5 * math.exp(-((q - 8.0) ** 2))
-
-        monkeypatch.setattr(collective_field, "_scale_min", two_valleys)
-        with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
-            res = optimize(osc(v=2.0))
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "2 local minima" in caplog.text
-        assert res.q_opt == pytest.approx(2.0, abs=1e-6)
-        assert res.energy == pytest.approx(-1.0, rel=1e-12)
+    @pytest.mark.parametrize("kind", list(PotentialKind))
+    def test_unit_energy_has_one_interior_minimum(self, kind, caplog):
+        # the evidence for a single Brent search over the whole bracket: on
+        # the unit problem lam = v = 1, mu = g, built here from the public
+        # coefficients, E(q) falls to one interior valley and rises again
+        oscillator = kind is PotentialKind.SOFT_CORE_OSCILLATOR
+        q = np.linspace(0.62, 12.0, 400)
+        t = np.array([kinetic_coeff(x) for x in q])
+        cm2 = np.array([inverse_square_coeff(x) for x in q])
+        pair = np.array([moment_coeff(x, 2 if oscillator else -1) for x in q])
+        for g in [0.0, *np.logspace(-10.0, 15.0, 26)]:
+            a = t + g * cm2
+            e = 2.0 * np.sqrt(a * pair) if oscillator else -pair**2 / (4.0 * a)
+            interior = np.flatnonzero((e[1:-1] < e[:-2]) & (e[1:-1] < e[2:])) + 1
+            assert len(interior) == 1, (g, q[interior])
+            assert interior[0] == np.argmin(e)
+            with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
+                res = optimize(Problem(Potential(kind, 1.0, float(g)), 3, 1.0))
+            assert abs(res.q_opt - q[interior[0]]) <= q[1] - q[0], g
+        assert caplog.records == []
 
     @pytest.mark.parametrize("make, q_ends", [(osc, (2.0, 9.425073)), (kra, (1.601319, 4.987986))])
     def test_optimum_rises_with_g_inside_the_bracket(self, make, q_ends, caplog):
@@ -434,10 +439,10 @@ class TestOptimize:
         assert q == sorted(q)
         assert (q[0], q[-1]) == pytest.approx(q_ends, abs=2e-5)
 
-    @pytest.mark.parametrize("make, mu, v", [(kra, 0.0, 1e-160), (kra, 0.0, 1e-300), (osc, 1.0, 1e300)])
+    @pytest.mark.parametrize("make, mu, v", [(kra, 0.0, 1e-160), (kra, 0.0, 1e-300)])
     def test_extreme_couplings_find_the_unit_optimum(self, make, mu, v, caplog):
-        # the energies of these problems under- or overflow at every q, while
-        # those of the unit problem lam = v = 1, mu = v*mu stay finite
+        # the energies of these problems underflow at every q, while those of
+        # the unit problem lam = v = 1, mu = v*mu stay finite
         with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
             res = optimize(make(mu=mu, v=v))
         assert caplog.records == []
@@ -446,6 +451,16 @@ class TestOptimize:
     def test_overflowing_soft_core_coupling_raises(self):
         with pytest.raises(OverflowError, match=r"g = v\*mu"):
             optimize(osc(mu=1e10, v=1e300))
+
+    def test_overflowing_energy_raises(self, caplog):
+        # g = 1e300 is finite and the unit search succeeds (q_opt 9.4251),
+        # but the problem's own energy overflows at every q
+        with pytest.raises(OverflowError, match="energy inf"):
+            minimize_scale(osc(v=1e300), 2.0)
+        with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
+            with pytest.raises(OverflowError, match="q = 9.425"):
+                optimize(osc(v=1e300))
+        assert caplog.records == []
 
     @pytest.mark.parametrize("v", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0])
     @pytest.mark.parametrize("make", [osc, kra])
