@@ -144,9 +144,9 @@ def bound_report(prob: Problem, include_phi: bool = False, window_only: bool = F
     sigma2 and the asymptotes are left None, unchecked, for callers that
     print only the energy window (sigma2 overflows at tiny Kratzer v).
 
-    Raises ``RuntimeError`` unless every reported number is finite and
-    F2 <= FG, and F2 <= Fphi <= FG with ``include_phi``, each within a
-    cushion of 1e-9 * max(1, |FG|).
+    Raises ``RuntimeError`` unless every reported number is finite, no
+    energy underflows to 0, and F2 <= FG, and F2 <= Fphi <= FG with
+    ``include_phi``, each within a cushion of 1e-9 * max(1, |FG|).
     """
     sigma2 = asym_lo = asym_up = None
     if not window_only:
@@ -169,6 +169,8 @@ def bound_report(prob: Problem, include_phi: bool = False, window_only: bool = F
     )
     if not all(math.isfinite(x) for x in vars(report).values() if x is not None):
         raise RuntimeError(f"non-finite bound at v={prob.v!r}: {report!r}")
+    if 0.0 in (report.lower, report.upper_gaussian, phi):
+        raise RuntimeError(f"bound underflows to 0 at v={prob.v!r}: {report!r}")
     lo, hi = report.lower, report.upper_gaussian
     cushion = 1e-9 * max(1.0, abs(hi))
     if not (lo <= hi + cushion and (phi is None or lo - cushion <= phi <= hi + cushion)):

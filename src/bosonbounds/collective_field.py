@@ -50,11 +50,14 @@ logger = logging.getLogger(__name__)
 # and 1.6013 (Kratzer) at g = 0 towards 9.4251 and 4.9880 as g grows, inside
 # the bracket, and the 1-D delta optimum is 1.6121; q > 1/2 bounds it below.
 _Q_LO, _Q_HI = 0.62, 12.0
+_Q_TOL = 1e-8
 
 # C_-1 and C_-2 are accepted once two successive levels of the (0, 1) rule
-# agree to _RTOL; a level's even nodes at twice the weight are the level below
+# agree to _RTOL; a level's even nodes at twice the weight are the level below.
+# Level 4 certifies every q > 1/2 outside about [45, 43 000], and level 5
+# certifies those; a q that needed more would raise QuadratureError
 _RTOL = 1e-10
-_MIN_LEVEL, _MAX_LEVEL = 4, 6
+_MIN_LEVEL, _MAX_LEVEL = 4, 5
 
 
 @dataclass(frozen=True)
@@ -101,7 +104,7 @@ def kinetic_coeff(q: float) -> float:
 #
 #   C = (q Gamma(a/q)/Gamma(3/q)**2) Int_0^1 kernel(x) (1 + x**q)**(-a/q) dx
 #
-# with a = 5, kernel 2 x**2 for C_-1 and a = 4, kernel x ln((1+x)/(1-x)) for
+# with a = 2d + p = 6 + p: kernel 2 x**2 for C_-1 and x ln((1+x)/(1-x)) for
 # C_-2.  That log singularity sits at the endpoint x = 1, which the tanh-sinh
 # rule damps; ln(1 - x) takes 1 - x exactly as the rule produced it.
 # ---------------------------------------------------------------------------
@@ -111,18 +114,14 @@ def _second_moment(q: float) -> float:
     return 2.0 * math.gamma(5.0 / q) / math.gamma(3.0 / q)
 
 
-# name -> a
-_PAIR_EXPONENTS = {"C_-1": 5.0, "C_-2": 4.0}
-
-
 @lru_cache(maxsize=None)
-def _weighted_kernel(name: str, level: int):
-    """log x and the q-independent kernel(x) times the weights at one level."""
+def _weighted_kernel(p: int, level: int):
+    """log x and the q-independent kernel(x) of C_p times the weights at one level."""
     # numpy is imported where arrays are built, never at package import
     import numpy as np
 
     x, one_minus_x, w, log_x = tanh_sinh_nodes(level)
-    if name == "C_-1":
+    if p == -1:
         kernel = 2.0 * x * x
     else:
         kernel = x * (np.log1p(x) - np.log(one_minus_x))
@@ -132,21 +131,21 @@ def _weighted_kernel(name: str, level: int):
 
 
 @lru_cache(maxsize=8192)
-def _pair_moment(name: str, q: float) -> float:
+def _pair_moment(p: int, q: float) -> float:
     """Certified C_-1 or C_-2: levels are doubled until two agree to _RTOL."""
     import numpy as np
 
-    a = _PAIR_EXPONENTS[name]
+    a = 6.0 + p
     g = math.gamma(3.0 / q)
     scale = q * math.gamma(a / q) / (g * g)
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
-        log_x, kw = _weighted_kernel(name, level)
+        log_x, kw = _weighted_kernel(p, level)
         e = np.exp(-a / q * np.log1p(np.exp(q * log_x)))
         cur = scale * float(kw @ e)
         prev = 2.0 * scale * float(kw[::2] @ e[::2])
         if abs(cur - prev) <= _RTOL * abs(cur):
             return cur
-    raise QuadratureError(f"{name} did not converge for q = {q}", (prev, cur))
+    raise QuadratureError(f"C_{p} did not converge for q = {q}", (prev, cur))
 
 
 def moment_coeff(q: float, p: float) -> float:
@@ -170,7 +169,7 @@ def moment_coeff(q: float, p: float) -> float:
     if p == 2:
         return _second_moment(q)
     if p == -1:
-        return _pair_moment("C_-1", q)
+        return _pair_moment(-1, q)
     if p == -2:
         raise ValueError("p = -2 has a logarithmic kernel; use inverse_square_coeff")
     raise ValueError(f"moment_coeff supports p = 2 and p = -1, got p = {p}")
@@ -181,11 +180,11 @@ def inverse_square_coeff(q: float) -> float:
 
     One integral on (0, 1) with a logarithmic endpoint singularity, by the
     tanh-sinh rule: level 4's 113 nodes give both the level-4 and the level-3
-    estimate; levels 5 and 6 run only while two successive levels disagree
-    beyond 1e-10 relative, and ``QuadratureError`` is raised if 5 and 6 do.
+    estimate; level 5 runs only where levels 3 and 4 disagree beyond 1e-10
+    relative, and ``QuadratureError`` is raised if 4 and 5 do too.
     """
     _require_q(q)
-    return _pair_moment("C_-2", q)
+    return _pair_moment(-2, q)
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +205,23 @@ def minimize_scale(prob: Problem, q: float) -> tuple[float, float]:
     * oscillator, B = v*lam*C2(q):  b_opt = (A/B)**(1/4), energy = 2*sqrt(A*B)
     * Kratzer,    C = v*lam*C_-1(q): b_opt = 2*A/C,        energy = -C**2/(4*A)
 
-    Returns (b_opt, energy); raises ``OverflowError`` if either is not finite.
+    Returns (b_opt, energy); raises ``OverflowError`` unless both are finite
+    and the energy is nonzero (zero means total underflow).
     """
     _require_d3(prob)
     _require_q(q)
     pot, v = prob.potential, prob.v
     a = kinetic_coeff(q)
     if pot.mu > 0.0:
-        a += v * pot.mu * _pair_moment("C_-2", q)
+        a += v * pot.mu * _pair_moment(-2, q)
     if pot.kind is PotentialKind.SOFT_CORE_OSCILLATOR:
         c = v * pot.lam * _second_moment(q)
         b_opt, energy = (a / c) ** 0.25, 2.0 * math.sqrt(a * c)
     else:
-        c = v * pot.lam * _pair_moment("C_-1", q)
+        c = v * pot.lam * _pair_moment(-1, q)
         b_opt, energy = 2.0 * a / c, -c * c / (4.0 * a)
-    if not (math.isfinite(energy) and math.isfinite(b_opt)):
-        raise OverflowError(f"collective-field bound at q = {q} is not finite: energy {energy}, b {b_opt}")
+    if not (math.isfinite(energy) and math.isfinite(b_opt)) or energy == 0.0:
+        raise OverflowError(f"collective-field bound at q = {q} is zero or not finite: energy {energy}, b {b_opt}")
     return b_opt, energy
 
 
@@ -235,14 +235,14 @@ def optimize(prob: Problem) -> PhiResult:
     interior minimum at every g tested.  Energy and b_opt are then evaluated
     on ``prob``.  A minimizer on the bracket edge is logged as a warning,
     since the result is then one-sided.  Raises ``OverflowError`` when g or
-    any energy or width it computes is not finite.
+    any energy or width it computes is not finite, or an energy is 0.
     """
     _require_d3(prob)
     g = prob.v * prob.potential.mu
     if not math.isfinite(g):
         raise OverflowError(f"soft-core coupling g = v*mu is not finite, got {g}")
     unit = Problem(Potential(prob.potential.kind, 1.0, g), 3, 1.0)
-    res = minimize_1d(lambda q: minimize_scale(unit, q)[1], _Q_LO, _Q_HI, 1e-8)
+    res = minimize_1d(lambda q: minimize_scale(unit, q)[1], _Q_LO, _Q_HI, _Q_TOL)
     if min(res.x_min - _Q_LO, _Q_HI - res.x_min) < 1e-6:
         logger.warning(
             "energy over q is lowest at the bracket edge q = %g; result is one-sided",
@@ -257,24 +257,14 @@ def optimize(prob: Problem) -> PhiResult:
 # ---------------------------------------------------------------------------
 
 
-def _delta_coeffs(q: float) -> tuple:
-    """(T1, U1) for the 1-D family phi(x) ~ exp(-(|x|/b)**q).
-
-    Kinetic (1/8) Int (phi')**2/phi = T1(q)/b**2 with
-    T1(q) = q**2 Gamma(2 - 1/q) / (8 Gamma(1/q)), and the delta cross term
-    v * Int phi**2 = v * U1(q)/b with U1(q) = q * 2**(-1 - 1/q) / Gamma(1/q).
-    Both are exact Gamma reductions; q > 1/2 keeps the kinetic integral
-    finite.
-    """
-    _require_q(q)
-    g1 = math.gamma(1.0 / q)
-    t1 = q * q * math.gamma(2.0 - 1.0 / q) / (8.0 * g1)
-    u1 = q * 2.0 ** (-1.0 - 1.0 / q) / g1
-    return t1, u1
-
-
 def delta_1d_phi(v: float, q: Optional[float] = None) -> PhiResult:
     """Collective-field bound for the 1-D attractive delta model.
+
+    On the family phi(x) ~ exp(-(|x|/b)**q) the kinetic term
+    (1/8) Int (phi')**2/phi is T1(q)/b**2 with
+    T1(q) = q**2 Gamma(2 - 1/q) / (8 Gamma(1/q)), and the delta cross term
+    v * Int phi**2 is v * U1(q)/b with U1(q) = q * 2**(-1 - 1/q) / Gamma(1/q);
+    both are exact Gamma reductions, and q > 1/2 keeps T1 finite.
 
     Minimizes T1(q)/b**2 - v*U1(q)/b over b (analytic: b = 2*T1/(v*U1),
     energy = -v**2 U1**2/(4 T1)) and over q numerically unless ``q`` is
@@ -282,20 +272,23 @@ def delta_1d_phi(v: float, q: Optional[float] = None) -> PhiResult:
     is exactly -v**2/(2*pi); the full optimum sits near q = 1.612.  The
     energy scales exactly as v**2, so q is searched at v = 1 and q_opt does
     not depend on v.  Raises ``OverflowError`` when the energy or the width
-    at the returned q is not finite.
+    at the returned q is not finite, or the energy underflows to 0.
     """
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"v must be positive and finite, got {v}")
 
     def scale_min(qq: float, v: float = v) -> tuple:
-        t1, u1 = _delta_coeffs(qq)
+        _require_q(qq)
+        g1 = math.gamma(1.0 / qq)
+        t1 = qq * qq * math.gamma(2.0 - 1.0 / qq) / (8.0 * g1)
+        u1 = qq * 2.0 ** (-1.0 - 1.0 / qq) / g1
         return 2.0 * t1 / (v * u1), -v * v * u1 * u1 / (4.0 * t1)
 
     converged = True
     if q is None:
-        res = minimize_1d(lambda qq: scale_min(qq, 1.0)[1], _Q_LO, _Q_HI, 1e-10)
+        res = minimize_1d(lambda qq: scale_min(qq, 1.0)[1], _Q_LO, _Q_HI, _Q_TOL)
         q, converged = res.x_min, res.converged
     b_opt, energy = scale_min(q)
-    if not (math.isfinite(energy) and math.isfinite(b_opt)):
-        raise OverflowError(f"delta-model bound at v = {v} is not finite: energy {energy}, b {b_opt}")
+    if not (math.isfinite(energy) and math.isfinite(b_opt)) or energy == 0.0:
+        raise OverflowError(f"delta-model bound at v = {v} is zero or not finite: energy {energy}, b {b_opt}")
     return PhiResult(energy=energy, q_opt=q, b_opt=b_opt, converged=converged)

@@ -296,8 +296,10 @@ class TestUsageErrors:
             (("bounds", "--v", "1e300", "--mu", "1e10", "--phi", "--potential", "kratzer"), 1),
             # g is finite, but the unit problem's energy overflows in the q search
             (("bounds", "--v", "1", "--mu", "1e308", "--phi"), 1),
+            # F2 and FG underflow to -0.0, which bounds nothing
+            (("physical", "--potential", "kratzer", "--mu", "0", "--N", "2", "--V0", "1e-300"), 1),
         ],
-        ids=[f"argv{i}" for i in range(9)],
+        ids=[f"argv{i}" for i in range(10)],
     )
     def test_overflow_exits_nonzero_without_printing_it(self, capsys, caplog, argv, exit_code):
         with caplog.at_level(logging.WARNING):
@@ -339,8 +341,8 @@ class TestUsageErrors:
     def test_unconverged_quadrature_is_a_numerical_failure(self, capsys, monkeypatch):
         # QuadratureError is a RuntimeError, so main's RuntimeError clause
         # turns it into exit 1 with nothing printed on stdout
-        def unconverged(name, q):
-            raise QuadratureError(f"{name} did not converge for q = {q}", (1.0, 2.0))
+        def unconverged(p, q):
+            raise QuadratureError(f"C_{p} did not converge for q = {q}", (1.0, 2.0))
 
         monkeypatch.setattr(collective_field, "_pair_moment", unconverged)
         code, out, err = run_cli(capsys, "bounds", "--potential", "kratzer", "--v", "2", "--phi")

@@ -188,13 +188,13 @@ class TestMomentCoeffs:
         # 1e-16, so both certified moments must raise rather than return
         # (called past their per-q caches)
         q = 5.2468
-        moments = (("C_-2", inverse_square_coeff), ("C_-1", lambda qq: moment_coeff(qq, -1)))
+        moments = ((-2, inverse_square_coeff), (-1, lambda qq: moment_coeff(qq, -1)))
         monkeypatch.setattr(collective_field, "_MAX_LEVEL", collective_field._MIN_LEVEL)
         monkeypatch.setattr(collective_field, "_RTOL", 1e-16)
         errors = []
-        for name, _ in moments:
-            with pytest.raises(QuadratureError, match=name) as excinfo:
-                collective_field._pair_moment.__wrapped__(name, q)
+        for p, _ in moments:
+            with pytest.raises(QuadratureError, match=f"C_{p} did not converge") as excinfo:
+                collective_field._pair_moment.__wrapped__(p, q)
             errors.append(excinfo.value)
         monkeypatch.undo()
         for exc, (_, coeff) in zip(errors, moments):
@@ -209,18 +209,18 @@ class TestMomentCoeffs:
         weighted_kernel = collective_field._weighted_kernel
         seen = []
 
-        def spy(name, level):
+        def spy(p, level):
             seen.append(level)
-            return weighted_kernel(name, level)
+            return weighted_kernel(p, level)
 
         monkeypatch.setattr(collective_field, "_weighted_kernel", spy)
         grid = np.linspace(0.62, 12.0, 32)
         for q in grid:
-            for name in ("C_-1", "C_-2"):
-                collective_field._pair_moment.__wrapped__(name, float(q))
+            for p in (-1, -2):
+                collective_field._pair_moment.__wrapped__(p, float(q))
         assert seen == [4] * 2 * len(grid)
         seen.clear()
-        collective_field._pair_moment.__wrapped__("C_-1", 1000.0)
+        collective_field._pair_moment.__wrapped__(-1, 1000.0)
         assert seen == [4, 5]
 
 
@@ -439,10 +439,10 @@ class TestOptimize:
         assert q == sorted(q)
         assert (q[0], q[-1]) == pytest.approx(q_ends, abs=2e-5)
 
-    @pytest.mark.parametrize("make, mu, v", [(kra, 0.0, 1e-160), (kra, 0.0, 1e-300)])
+    @pytest.mark.parametrize("make, mu, v", [(kra, 0.0, 1e-160)])
     def test_extreme_couplings_find_the_unit_optimum(self, make, mu, v, caplog):
-        # the energies of these problems underflow at every q, while those of
-        # the unit problem lam = v = 1, mu = v*mu stay finite
+        # the energies of this problem are subnormal at every q, while those
+        # of the unit problem lam = v = 1, mu = v*mu are not
         with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
             res = optimize(make(mu=mu, v=v))
         assert caplog.records == []
@@ -460,6 +460,16 @@ class TestOptimize:
         with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
             with pytest.raises(OverflowError, match="q = 9.425"):
                 optimize(osc(v=1e300))
+        assert caplog.records == []
+
+    def test_underflowing_energy_raises(self, caplog):
+        # the unit search succeeds (q_opt 1.6013), but the problem's own
+        # energy -C**2/(4*A) underflows to -0.0 at every q
+        with pytest.raises(OverflowError, match="energy -0.0"):
+            minimize_scale(kra(mu=0.0, v=1e-300), 2.0)
+        with caplog.at_level(logging.WARNING, logger="bosonbounds.collective_field"):
+            with pytest.raises(OverflowError, match="q = 1.601"):
+                optimize(kra(mu=0.0, v=1e-300))
         assert caplog.records == []
 
     @pytest.mark.parametrize("v", [2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0])
@@ -495,12 +505,13 @@ class TestDelta1d:
 
     def test_optimum_power_does_not_depend_on_v(self):
         # E scales as v**2, so the search runs at v = 1 for every v
-        assert {delta_1d_phi(v).q_opt for v in (1e-200, 1.0, 7.3, 1e100)} == {delta_1d_phi(1.0).q_opt}
+        assert {delta_1d_phi(v).q_opt for v in (1e-150, 1.0, 7.3, 1e100)} == {delta_1d_phi(1.0).q_opt}
 
-    @pytest.mark.parametrize("v, q", [(1e200, None), (1e200, 2.0), (1e-310, None)])
+    @pytest.mark.parametrize("v, q", [(1e200, None), (1e200, 2.0), (1e-310, None), (1e-200, None), (1e-200, 2.0)])
     def test_overflowing_result_raises(self, v, q):
-        # the energy -v**2 U1**2/(4 T1) overflows to -inf at v = 1e200, and
-        # the width 2 T1/(v U1) to inf at v = 1e-310
+        # the energy -v**2 U1**2/(4 T1) overflows to -inf at v = 1e200 and
+        # underflows to -0.0 at v = 1e-200, and the width 2 T1/(v U1)
+        # overflows to inf at v = 1e-310
         with pytest.raises(OverflowError, match="not finite"):
             delta_1d_phi(v, q=q)
 

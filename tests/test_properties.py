@@ -25,6 +25,7 @@ from bosonbounds import (
     Problem,
     gaussian_upper,
     ground_energy,
+    inverse_square_coeff,
     lower_bound,
     minimize_scale,
     moment_coeff,
@@ -120,15 +121,22 @@ def test_eigensolver_scales_onto_the_unit_problem(kind, lam, mu, d, v):
     )
 
 
-@settings(PROPERTY, max_examples=200)
-@given(log_uniform(math.log10(0.51), 4.0))
+@settings(PROPERTY, max_examples=400)
+@given(st.one_of(log_uniform(math.log10(0.51), 4.0), log_uniform(4.0, 150.0)))
 def test_inverse_moment_is_certified_over_the_whole_q_range(q):
     # C_-1 = E[1/max(s, t)] is a regularized incomplete beta function at 1/2
-    # (DLMF 8.17); the q range spans both quadrature levels the rule reaches
+    # (DLMF 8.17); about half the draws fall below 1e4, a range that spans
+    # both quadrature levels the rule reaches, and the rest reach q = 1e150.
+    # C_-2 has no such closed form, but it must certify too, and for a large q
+    # (a near-uniform ball) it approaches its ball limit 9/4 from within 2/q
     from scipy.special import betainc
 
     expect = 2.0 * math.gamma(2.0 / q) / math.gamma(3.0 / q) * float(betainc(3.0 / q, 2.0 / q, 0.5))
     assert moment_coeff(q, -1) == pytest.approx(expect, rel=1e-13)
+    cm2 = inverse_square_coeff(q)
+    assert 0.0 < cm2 < math.inf
+    if q >= 1e4:
+        assert cm2 == pytest.approx(2.25, rel=2.0 / q)
 
 
 @PROPERTY
