@@ -138,6 +138,10 @@ def _pair_moment(p: int, q: float) -> float:
     a = 6.0 + p
     g = math.gamma(3.0 / q)
     scale = q * math.gamma(a / q) / (g * g)
+    # each factor grows like q, so this overflows for q above about 4e154
+    # although the integral stays finite there
+    if not math.isfinite(scale):
+        raise OverflowError(f"C_{p} prefactor q Gamma({a:g}/q)/Gamma(3/q)**2 is {scale} at q = {q}")
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
         log_x, kw = _weighted_kernel(p, level)
         e = np.exp(-a / q * np.log1p(np.exp(q * log_x)))
@@ -181,7 +185,9 @@ def inverse_square_coeff(q: float) -> float:
     One integral on (0, 1) with a logarithmic endpoint singularity, by the
     tanh-sinh rule: level 4's 113 nodes give both the level-4 and the level-3
     estimate; level 5 runs only where levels 3 and 4 disagree beyond 1e-10
-    relative, and ``QuadratureError`` is raised if 4 and 5 do too.
+    relative, and ``QuadratureError`` is raised if 4 and 5 do too.  For q
+    above about 4e154 the Gamma prefactor overflows and ``OverflowError``
+    is raised, as it is for C_-1.
     """
     _require_q(q)
     return _pair_moment(-2, q)

@@ -203,6 +203,14 @@ class TestMomentCoeffs:
             for est in (lo, hi):
                 assert est == pytest.approx(coeff(q), rel=1e-6)
 
+    @pytest.mark.parametrize("q", [4e154, 1e155])
+    @pytest.mark.parametrize("coeff", [lambda q: moment_coeff(q, -1), inverse_square_coeff], ids=["Cm1", "Cm2"])
+    def test_overflowing_prefactor_is_named(self, coeff, q):
+        # q Gamma(a/q) overflows to inf at 4e154 and Gamma(3/q)**2 too at
+        # 1e155 (inf/inf = nan); the (0, 1) integral itself is still finite
+        with pytest.raises(OverflowError, match=r"prefactor q Gamma\(\d/q\)/Gamma\(3/q\)\*\*2 is (inf|nan)"):
+            coeff(q)
+
     def test_each_visited_level_is_evaluated_once(self, monkeypatch):
         # one pass over level 4 certifies it against level 3 on its even
         # nodes, across the q bracket; at q = 1000 the rule must go on to 5

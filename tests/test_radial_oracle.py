@@ -7,11 +7,34 @@ claims.
 """
 
 import itertools
+import math
 
 import pytest
+import scipy.linalg
 
-from bosonbounds import Potential, Problem, gaussian_upper, lower_bound, radial_oracle
+from bosonbounds import Potential, PotentialKind, Problem, gaussian_upper, lower_bound, radial_oracle
+from bosonbounds.cli import _UNIT_G
+from bosonbounds.closed_bounds import sigma2_gaussian
 from bosonbounds.radial_oracle import _lowest_eigenvalue, ground_energy
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The select argument and result size of every eigensolver call."""
+    calls = []
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        val = eigh_tridiagonal(*args, **kwargs)
+        calls.append((kwargs["select"], val.size))
+        return val
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    return calls
+
+
+def _r_max(prob):
+    return radial_oracle._R_MAX_SIZES * math.sqrt(sigma2_gaussian(prob))
 
 
 class TestReferenceEnergies:
@@ -110,14 +133,55 @@ class TestRichardsonTable:
         # alone spends all seven solves on each of them
         solves = []
 
-        def counted(prob, r_max, n):
+        def counted(prob, r_max, n, guess):
             solves.append(n)
-            return _lowest_eigenvalue(prob, r_max, n)
+            return _lowest_eigenvalue(prob, r_max, n, guess)
 
         monkeypatch.setattr(radial_oracle, "_lowest_eigenvalue", counted)
         assert ground_energy(prob) == pytest.approx(lower_bound(prob), rel=1e-6)
         assert solves[0] == radial_oracle._N_INTERIOR
         assert len(solves) <= 4
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("n", [501, 1003])
+    @pytest.mark.parametrize("kind", list(PotentialKind))
+    def test_window_agrees_with_the_full_solve(self, kind, n, solves):
+        # the guess is the coarser grid's eigenvalue, as in ground_energy
+        for d, g in itertools.product((3, 4, 5, 7), (0.0, 1e-4, 0.8, 50.0)):
+            prob = Problem(Potential(kind, 1.0, g), d, 1.0)
+            r_max = _r_max(prob)
+            full = _lowest_eigenvalue(prob, r_max, n)
+            guess = _lowest_eigenvalue(prob, r_max, (n + 1) // 2 - 1)
+            solves.clear()
+            assert _lowest_eigenvalue(prob, r_max, n, guess) == pytest.approx(full, rel=1e-10, abs=0.0)
+            assert solves == [("v", 1)], (d, g)
+
+    def test_uncertified_window_falls_back(self, solves):
+        # the window around the second level 7 holds an eigenvalue, but T - lo*I
+        # is not positive definite: the ground level 3 lies below it
+        prob = Problem(Potential.oscillator(1.0, 0.0), 3, 1.0)
+        full = _lowest_eigenvalue(prob, 12.0, 501)
+        solves.clear()
+        assert _lowest_eigenvalue(prob, 12.0, 501, 7.0) == full
+        assert solves == [("v", 1), ("i", 1)]
+
+    @pytest.mark.parametrize("kind", list(PotentialKind))
+    def test_empty_window_falls_back(self, kind, solves):
+        # a guess 5 % below the ground level (in either sign): nothing in the window
+        prob = Problem(Potential(kind, 1.0, 0.0), 3, 1.0)
+        r_max = _r_max(prob)
+        full = _lowest_eigenvalue(prob, r_max, 501)
+        solves.clear()
+        assert _lowest_eigenvalue(prob, r_max, 501, full - 0.05 * abs(full)) == full
+        assert solves == [("v", 0), ("i", 1)]
+
+    def test_one_full_solve_per_ground_energy(self, solves):
+        # verify's oracle grid: every solve after the first is a certified window
+        for kind, d, g in itertools.product(PotentialKind, (3, 4, 5), _UNIT_G):
+            solves.clear()
+            ground_energy(Problem(Potential(kind, 1.0, g), d, 1.0))
+            assert [select for select, _ in solves] == ["i"] + ["v"] * (len(solves) - 1), (kind, d, g)
 
 
 class TestAgreementWithClosedForms:
