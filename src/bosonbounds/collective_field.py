@@ -45,10 +45,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# bracket of both q searches (optimize and delta_1d_phi): q_opt depends only
-# on the kind and g = v*mu; at every g sampled it rises from 2 (oscillator)
-# and 1.6013 (Kratzer) at g = 0 towards 9.4251 and 4.9880 as g grows, inside
-# the bracket, and the 1-D delta optimum is 1.6121; q > 1/2 bounds it below.
+# bracket of the q search in optimize: q_opt depends only on the kind and
+# g = v*mu; at every g sampled it rises from 2 (oscillator) and 1.6013
+# (Kratzer) at g = 0 towards 9.4251 and 4.9880 as g grows, inside the
+# bracket; q > 1/2 bounds it below.
 _Q_LO, _Q_HI = 0.62, 12.0
 _Q_TOL = 1e-8
 
@@ -262,6 +262,11 @@ def optimize(prob: Problem) -> PhiResult:
 # 1-D delta-interaction calibration model
 # ---------------------------------------------------------------------------
 
+# The delta model's energy is -v**2 2**(1 - 2/q)/(4 Gamma(1/q) Gamma(2 - 1/q)),
+# and d ln|E|/dq = 0 reduces, by the digamma reflection and recurrence, to
+# pi cot(pi/q) + q/(q - 1) = 2 ln 2: this is its root, correctly rounded.
+_DELTA_Q_OPT = 1.612069348339162
+
 
 def delta_1d_phi(v: float, q: Optional[float] = None) -> PhiResult:
     """Collective-field bound for the 1-D attractive delta model.
@@ -270,31 +275,23 @@ def delta_1d_phi(v: float, q: Optional[float] = None) -> PhiResult:
     (1/8) Int (phi')**2/phi is T1(q)/b**2 with
     T1(q) = q**2 Gamma(2 - 1/q) / (8 Gamma(1/q)), and the delta cross term
     v * Int phi**2 is v * U1(q)/b with U1(q) = q * 2**(-1 - 1/q) / Gamma(1/q);
-    both are exact Gamma reductions, and q > 1/2 keeps T1 finite.
+    q > 1/2 keeps T1 finite.  The minimum over b, at b = 2*T1/(v*U1), is
 
-    Minimizes T1(q)/b**2 - v*U1(q)/b over b (analytic: b = 2*T1/(v*U1),
-    energy = -v**2 U1**2/(4 T1)) and over q numerically unless ``q`` is
-    given, in which case only the scale is optimized.  At q = 2 the value
-    is exactly -v**2/(2*pi); the full optimum sits near q = 1.612.  The
-    energy scales exactly as v**2, so q is searched at v = 1 and q_opt does
-    not depend on v.  Raises ``OverflowError`` when the energy or the width
-    at the returned q is not finite, or the energy underflows to 0.
+        b = q Gamma(2 - 1/q) 2**(1/q) / (2 v)
+        energy = -v**2 2**(1 - 2/q) / (4 Gamma(1/q) Gamma(2 - 1/q))
+
+    exactly -v**2/(2*pi) at q = 2.  Without ``q`` the power is the constant
+    ``_DELTA_Q_OPT``, since the energy is v**2 times a function of q alone.
+    Raises ``OverflowError`` when the energy or the width is not finite, or
+    the energy underflows to 0.
     """
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"v must be positive and finite, got {v}")
-
-    def scale_min(qq: float, v: float = v) -> tuple:
-        _require_q(qq)
-        g1 = math.gamma(1.0 / qq)
-        t1 = qq * qq * math.gamma(2.0 - 1.0 / qq) / (8.0 * g1)
-        u1 = qq * 2.0 ** (-1.0 - 1.0 / qq) / g1
-        return 2.0 * t1 / (v * u1), -v * v * u1 * u1 / (4.0 * t1)
-
-    converged = True
-    if q is None:
-        res = minimize_1d(lambda qq: scale_min(qq, 1.0)[1], _Q_LO, _Q_HI, _Q_TOL)
-        q, converged = res.x_min, res.converged
-    b_opt, energy = scale_min(q)
+    q = _DELTA_Q_OPT if q is None else q
+    _require_q(q)
+    gamma2 = math.gamma(2.0 - 1.0 / q)
+    b_opt = q * gamma2 * 2.0 ** (1.0 / q) / (2.0 * v)
+    energy = -v * v * 2.0 ** (1.0 - 2.0 / q) / (4.0 * math.gamma(1.0 / q) * gamma2)
     if not (math.isfinite(energy) and math.isfinite(b_opt)) or energy == 0.0:
         raise OverflowError(f"delta-model bound at v = {v} is zero or not finite: energy {energy}, b {b_opt}")
-    return PhiResult(energy=energy, q_opt=q, b_opt=b_opt, converged=converged)
+    return PhiResult(energy=energy, q_opt=q, b_opt=b_opt, converged=True)

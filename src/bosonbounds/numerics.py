@@ -1,11 +1,11 @@
 """Shared numerical kernels.
 
-Two independent tools used throughout the package:
+Two independent tools, both used by ``collective_field``:
 
 * ``tanh_sinh_nodes``: nodes and weights of the tanh-sinh
   (double-exponential) rule on (0, 1), the rule behind the pair moments.
 * ``minimize_1d``: bracketed one-dimensional minimization (golden section
-  with parabolic acceleration).
+  with parabolic acceleration), the search over q in ``optimize``.
 """
 
 from __future__ import annotations

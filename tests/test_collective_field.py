@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import betainc, gammaincc
 
 from bosonbounds import (
@@ -22,6 +23,7 @@ from bosonbounds import (
     PotentialKind,
     Problem,
     delta_1d_phi,
+    delta_exact_energy,
     gaussian_upper,
     inverse_square_coeff,
     kinetic_coeff,
@@ -403,7 +405,7 @@ class TestOptimize:
         assert b_again == pytest.approx(res.b_opt, rel=1e-12)
         assert e_again == pytest.approx(res.energy, rel=1e-12)
 
-    def test_scan_minimum_on_the_bracket_edge_is_logged(self, monkeypatch, caplog):
+    def test_minimum_on_the_bracket_edge_is_logged(self, monkeypatch, caplog):
         logger = "bosonbounds.collective_field"
         with caplog.at_level(logging.WARNING, logger=logger):
             optimize(osc(v=2.0))
@@ -503,6 +505,69 @@ class TestDelta1d:
         assert res.q_opt == pytest.approx(1.6120693564010917, abs=1e-6)
         assert res.b_opt > 0.0
 
+    @staticmethod
+    def stationarity(q):
+        # d ln|E|/dq = 0 for E(q) = -2**(1 - 2/q)/(4 Gamma(1/q) Gamma(2 - 1/q))
+        return math.pi / math.tan(math.pi / q) + q / (q - 1.0) - 2.0 * math.log(2.0)
+
+    def test_optimum_power_is_the_stationary_root(self):
+        q_opt = collective_field._DELTA_Q_OPT
+        assert brentq(self.stationarity, 1.5, 1.7) == pytest.approx(q_opt, abs=1e-14)
+        assert self.stationarity(q_opt * (1.0 - 1e-9)) < 0.0 < self.stationarity(q_opt * (1.0 + 1e-9))
+        assert delta_1d_phi(1.0).q_opt == q_opt
+        energy = delta_1d_phi(1.0).energy
+        assert energy < delta_1d_phi(1.0, q=q_opt * (1.0 - 1e-3)).energy
+        assert energy < delta_1d_phi(1.0, q=q_opt * (1.0 + 1e-3)).energy
+
+    def test_makes_no_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("minimize_1d called")
+
+        monkeypatch.setattr(collective_field, "minimize_1d", no_search)
+        for v in (0.5, 7.3):
+            assert delta_1d_phi(v).q_opt == collective_field._DELTA_Q_OPT
+        with pytest.raises(AssertionError, match="minimize_1d called"):
+            optimize(osc())
+
+        def names(code):
+            yield from code.co_names
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):
+                    yield from names(const)
+
+        callers = [
+            name
+            for name, f in vars(collective_field).items()
+            if hasattr(f, "__code__") and "minimize_1d" in names(f.__code__)
+        ]
+        assert callers == ["optimize"]
+
+    @pytest.mark.parametrize("v", [0.5, 1.0, 3.0])
+    def test_sech_squared_attains_the_exact_large_n_energy(self, v):
+        # phi = (v/2) sech(v x)**2 is normalized, and its kinetic and pair
+        # terms are v**2/6 and v**2/3, so the functional reaches
+        # -v**2/6 = delta_exact_energy(inf, v); cosh overflows on the whole
+        # line, and the tails past |x| = 60/v are below exp(-120)
+        def phi(x):
+            return 0.5 * v / math.cosh(v * x) ** 2
+
+        def dphi(x):
+            return -v * v * math.tanh(v * x) / math.cosh(v * x) ** 2
+
+        def line(f):
+            return 2.0 * quad(f, 0.0, 60.0 / v, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        kinetic = line(lambda x: dphi(x) ** 2 / phi(x)) / 8.0
+        pair = v * line(lambda x: phi(x) ** 2)
+        assert line(phi) == pytest.approx(1.0, rel=1e-10)
+        assert kinetic == pytest.approx(v * v / 6.0, rel=1e-10)
+        assert pair == pytest.approx(v * v / 3.0, rel=1e-10)
+        exact = delta_exact_energy(math.inf, v)
+        assert kinetic - pair == pytest.approx(exact, rel=1e-10)
+        # the q-family's optimum lies 1.08 % above it: sech**2 is not in the family
+        gap = (delta_1d_phi(v).energy - exact) / abs(exact)
+        assert gap == pytest.approx(0.0107883, abs=1e-6)
+
     def test_optimum_beats_the_gaussian_point(self):
         assert delta_1d_phi(1.0).energy < delta_1d_phi(1.0, q=2.0).energy
 
@@ -512,7 +577,7 @@ class TestDelta1d:
         assert delta_1d_phi(v).energy == pytest.approx(v * v * base, rel=1e-8)
 
     def test_optimum_power_does_not_depend_on_v(self):
-        # E scales as v**2, so the search runs at v = 1 for every v
+        # E scales as v**2, so q_opt is one constant for every v
         assert {delta_1d_phi(v).q_opt for v in (1e-150, 1.0, 7.3, 1e100)} == {delta_1d_phi(1.0).q_opt}
 
     @pytest.mark.parametrize("v, q", [(1e200, None), (1e200, 2.0), (1e-310, None), (1e-200, None), (1e-200, 2.0)])
@@ -523,7 +588,7 @@ class TestDelta1d:
         with pytest.raises(OverflowError, match="not finite"):
             delta_1d_phi(v, q=q)
 
-    @pytest.mark.parametrize("q", [1.2, 2.0, 3.5])
+    @pytest.mark.parametrize("q", [1.0, 1.2, 2.0, 3.5])
     def test_coefficients_agree_with_direct_quadrature(self, q):
         """Recover T1 and U1 from the public result and re-derive them.
 
