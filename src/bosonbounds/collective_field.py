@@ -15,8 +15,10 @@ so minimization over b is analytic and only the power q is optimized
 numerically, by one Brent search on [0.62, 12].  T(q) and C_2(q) are Gamma
 ratios.  For C_-1(q) and the soft-core moment C_-2(q) the substitution
 t = x*s between the two radii turns the double radial integral into a Gamma
-function times one integral over x in (0, 1); it is evaluated with the
-tanh-sinh rule from ``numerics``, refined level by level until two agree.
+function times one integral over x in (0, 1).  For C_-1 that integral is an
+incomplete beta function at 1/2, summed as a series of positive terms; for
+C_-2 it is evaluated with the tanh-sinh rule from ``numerics``, refined
+level by level until two agree.  Everything is plain Python on ``math``.
 
 The 1-D delta-interaction model used for calibration lives here too: its
 functional on the same family is fully closed-form.
@@ -28,6 +30,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .model import Potential, PotentialKind, Problem
@@ -50,14 +53,18 @@ logger = logging.getLogger(__name__)
 # (Kratzer) at g = 0 towards 9.4251 and 4.9880 as g grows, inside the
 # bracket; q > 1/2 bounds it below.
 _Q_LO, _Q_HI = 0.62, 12.0
-_Q_TOL = 1e-8
+_Q_TOL = 1e-6
 
-# C_-1 and C_-2 are accepted once two successive levels of the (0, 1) rule
-# agree to _RTOL; a level's even nodes at twice the weight are the level below.
+# C_-2 is accepted once two successive levels of the (0, 1) rule agree to
+# _RTOL; a level's even nodes at twice the weight are the level below.
 # Level 4 certifies every q > 1/2 outside about [45, 43 000], and level 5
 # certifies those; a q that needed more would raise QuadratureError
 _RTOL = 1e-10
 _MIN_LEVEL, _MAX_LEVEL = 4, 5
+# C_-2's terms kernel*weight that together are below this fraction of the
+# level's sum are dropped: (1 + x**q)**(-4/q) lies in [2**-8, 1] for
+# q > 1/2, so C_-2 moves by less than 3e-16 relative
+_DROP = 1e-18
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,9 @@ def kinetic_coeff(q: float) -> float:
 #   C = (q Gamma(a/q)/Gamma(3/q)**2) Int_0^1 kernel(x) (1 + x**q)**(-a/q) dx
 #
 # with a = 2d + p = 6 + p: kernel 2 x**2 for C_-1 and x ln((1+x)/(1-x)) for
-# C_-2.  That log singularity sits at the endpoint x = 1, which the tanh-sinh
-# rule damps; ln(1 - x) takes 1 - x exactly as the rule produced it.
+# C_-2.  For C_-1 the integral is an incomplete beta function.  C_-2's log
+# singularity sits at the endpoint x = 1, which the tanh-sinh rule damps;
+# ln(1 - x) takes 1 - x exactly as the rule produced it.
 # ---------------------------------------------------------------------------
 
 
@@ -114,27 +122,61 @@ def _second_moment(q: float) -> float:
     return 2.0 * math.gamma(5.0 / q) / math.gamma(3.0 / q)
 
 
-@lru_cache(maxsize=None)
-def _weighted_kernel(p: int, level: int):
-    """log x and the q-independent kernel(x) of C_p times the weights at one level."""
-    # numpy is imported where arrays are built, never at package import
-    import numpy as np
+def _inverse_moment_integral(q: float) -> float:
+    """Int_0^1 2 x**2 (1 + x**q)**(-5/q) dx, the (0, 1) integral of C_-1.
 
+    y = x**q/(1 + x**q) turns it into (2/q) B(1/2; 3/q, 2/q), an incomplete
+    beta function, and its hypergeometric series (DLMF 8.17.8) at 1/2,
+
+        B(1/2; a, b) = 2**-(a+b)/a * sum_n (a+b)_n/(a+1)_n 2**-n,
+
+    has positive terms only.  Term n+1 over term n is
+    (a+b+n)/(2(a+1+n)), which moves monotonically from 5/(2q+6) < 5/7
+    towards 1/2, so the terms after any one sum to at most 5/2 of it; the
+    sum stops once that bound is below 1e-17 of the total.
+    """
+    c, d = 5.0 / q, 2.0 + 6.0 / q
+    total = term = 1.0
+    n = 0.0
+    while term > 4e-18 * total:
+        term *= (c + n) / (d + n + n)
+        total += term
+        n += 1.0
+    # (2/q)/a = 2/3 with a = 3/q
+    return (2.0 / 3.0) * 0.5**c * total
+
+
+@lru_cache(maxsize=None)
+def _weighted_kernel(level: int):
+    """(log x, kernel(x) * weight) pairs of C_-2 at one level of the rule.
+
+    Returned as the even nodes, which are the level below at half the
+    weight, and the odd ones.  The smallest terms, which sum to less than
+    _DROP of the level's total, are left out.
+    """
     x, one_minus_x, w, log_x = tanh_sinh_nodes(level)
-    if p == -1:
-        kernel = 2.0 * x * x
-    else:
-        kernel = x * (np.log1p(x) - np.log(one_minus_x))
-    kw = kernel * w
-    kw.flags.writeable = log_x.flags.writeable = False
-    return log_x, kw
+    kw = [xi * (math.log1p(xi) - math.log(omx)) * wi for xi, omx, wi in zip(x, one_minus_x, w)]
+    # cut is the smallest term kept: the running sum of the terms below it,
+    # in increasing order, stays under _DROP of the total
+    ranked, limit = sorted(kw), _DROP * sum(kw)
+    cut = ranked[sum(1 for s in accumulate(ranked) if s < limit)]
+    nodes = list(zip(log_x, kw))
+    return tuple(n for n in nodes[::2] if n[1] >= cut), tuple(n for n in nodes[1::2] if n[1] >= cut)
+
+
+def _kernel_sum(nodes, q: float, c: float) -> float:
+    """Sum of kw * (1 + x**q)**c over the (log x, kw) pairs."""
+    # a plain loop: faster here than sum() over a generator
+    exp = math.exp
+    total = 0.0
+    for log_x, kw in nodes:
+        total += kw * (1.0 + exp(q * log_x)) ** c
+    return total
 
 
 @lru_cache(maxsize=8192)
 def _pair_moment(p: int, q: float) -> float:
-    """Certified C_-1 or C_-2: levels are doubled until two agree to _RTOL."""
-    import numpy as np
-
+    """C_-1 in closed form, or C_-2 certified: levels go up until two agree to _RTOL."""
     a = 6.0 + p
     g = math.gamma(3.0 / q)
     scale = q * math.gamma(a / q) / (g * g)
@@ -142,11 +184,14 @@ def _pair_moment(p: int, q: float) -> float:
     # although the integral stays finite there
     if not math.isfinite(scale):
         raise OverflowError(f"C_{p} prefactor q Gamma({a:g}/q)/Gamma(3/q)**2 is {scale} at q = {q}")
+    if p == -1:
+        return scale * _inverse_moment_integral(q)
+    c = -a / q
     for level in range(_MIN_LEVEL, _MAX_LEVEL + 1):
-        log_x, kw = _weighted_kernel(p, level)
-        e = np.exp(-a / q * np.log1p(np.exp(q * log_x)))
-        cur = scale * float(kw @ e)
-        prev = 2.0 * scale * float(kw[::2] @ e[::2])
+        even, odd = _weighted_kernel(level)
+        half = _kernel_sum(even, q, c)
+        cur = scale * (half + _kernel_sum(odd, q, c))
+        prev = 2.0 * scale * half
         if abs(cur - prev) <= _RTOL * abs(cur):
             return cur
     raise QuadratureError(f"C_{p} did not converge for q = {q}", (prev, cur))
@@ -166,8 +211,11 @@ def moment_coeff(q: float, p: float) -> float:
     Returns
     -------
     float
-        C_2(q) = 2 Gamma(5/q)/Gamma(3/q), or C_-1(q), one certified
-        integral on (0, 1) with the same refinement as ``inverse_square_coeff``.
+        C_2(q) = 2 Gamma(5/q)/Gamma(3/q), or
+        C_-1(q) = (q Gamma(5/q)/Gamma(3/q)**2) (2/q) B(1/2; 3/q, 2/q), the
+        incomplete beta function summed to within 1e-17 relative.  For q
+        above about 4e154 the Gamma prefactor of C_-1 overflows and
+        ``OverflowError`` is raised.
     """
     _require_q(q)
     if p == 2:
@@ -183,8 +231,9 @@ def inverse_square_coeff(q: float) -> float:
     """Soft-core coefficient C_-2(q) with <r**-2> = C_-2(q) / b**2.
 
     One integral on (0, 1) with a logarithmic endpoint singularity, by the
-    tanh-sinh rule: level 4's 113 nodes give both the level-4 and the level-3
-    estimate; level 5 runs only where levels 3 and 4 disagree beyond 1e-10
+    tanh-sinh rule: one pass over 90 of level 4's 113 nodes gives both the
+    level-4 and the level-3 estimate (the other 23 carry less than 1e-18 of
+    the sum); level 5 runs only where levels 3 and 4 disagree beyond 1e-10
     relative, and ``QuadratureError`` is raised if 4 and 5 do too.  For q
     above about 4e154 the Gamma prefactor overflows and ``OverflowError``
     is raised, as it is for C_-1.
@@ -249,7 +298,9 @@ def optimize(prob: Problem) -> PhiResult:
         raise OverflowError(f"soft-core coupling g = v*mu is not finite, got {g}")
     unit = Problem(Potential(prob.potential.kind, 1.0, g), 3, 1.0)
     res = minimize_1d(lambda q: minimize_scale(unit, q)[1], _Q_LO, _Q_HI, _Q_TOL)
-    if min(res.x_min - _Q_LO, _Q_HI - res.x_min) < 1e-6:
+    # Brent stops once both ends of its bracket lie within 2*tol*max(1, q)
+    # of q, and an end it never moved is a bracket edge
+    if min(res.x_min - _Q_LO, _Q_HI - res.x_min) <= 2.0 * _Q_TOL * max(1.0, res.x_min):
         logger.warning(
             "energy over q is lowest at the bracket edge q = %g; result is one-sided",
             res.x_min,

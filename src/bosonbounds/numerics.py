@@ -1,9 +1,11 @@
 """Shared numerical kernels.
 
-Two independent tools, both used by ``collective_field``:
+Two independent tools, both used by ``collective_field`` and both plain
+Python on ``math``:
 
 * ``tanh_sinh_nodes``: nodes and weights of the tanh-sinh
-  (double-exponential) rule on (0, 1), the rule behind the pair moments.
+  (double-exponential) rule on (0, 1), the rule behind the soft-core pair
+  moment C_-2.
 * ``minimize_1d``: bracketed one-dimensional minimization (golden section
   with parabolic acceleration), the search over q in ``optimize``.
 """
@@ -52,22 +54,20 @@ def tanh_sinh_nodes(level: int):
     Level ``l >= 1`` uses the trapezoid step ``h = 2**-l`` on the fixed window
     [-3.5, 3.5] in tau, so each level's nodes are every other node of the
     next, at twice the weight.  Returns ``(x, one_minus_x, w, log_x)`` as
-    float64 arrays.  ``one_minus_x`` comes from the exponent, never by
+    lists of floats.  ``one_minus_x`` comes from the exponent, never by
     subtraction, so it keeps full relative precision where x rounds to 1.0;
     ``log_x`` lets integrands with x**q be formed as exp(q*log_x).
     """
-    # imported here: numpy dominates package import time, and the
-    # closed-form commands never build an array
-    import numpy as np
-
     h = 2.0**-level
     n = round(_TAU_MAX / h)
-    tau = h * np.arange(-n, n + 1)
-    u = math.pi * np.sinh(tau)
-    x = 1.0 / (1.0 + np.exp(-u))
-    one_minus_x = 1.0 / (1.0 + np.exp(u))
-    w = h * math.pi * np.cosh(tau) * x * one_minus_x
-    log_x = -np.log1p(np.exp(-u))
+    x, one_minus_x, w, log_x = [], [], [], []
+    for k in range(-n, n + 1):
+        tau = h * k
+        u = math.pi * math.sinh(tau)
+        x.append(1.0 / (1.0 + math.exp(-u)))
+        one_minus_x.append(1.0 / (1.0 + math.exp(u)))
+        w.append(h * math.pi * math.cosh(tau) * x[-1] * one_minus_x[-1])
+        log_x.append(-math.log1p(math.exp(-u)))
     return x, one_minus_x, w, log_x
 
 

@@ -397,8 +397,8 @@ class TestImport:
         return loaded == "True", int(exit_code)
 
     def test_kratzer_phi_command_leaves_scipy_special_unloaded(self):
-        # both non-closed pair moments are tanh-sinh integrals, so no command
-        # needs scipy.special
+        # C_-1 is summed as a series and C_-2 is a tanh-sinh integral, so no
+        # command needs scipy.special
         argv = ["bounds", "--potential", "kratzer", "--v", "2", "--phi"]
         assert self._run_fresh(argv, "scipy.special") == (False, 0)
 
@@ -409,7 +409,18 @@ class TestImport:
         assert self._run_fresh(argv) == (False, 0)
 
     @pytest.mark.parametrize(
-        "argv", [["bounds", "--v", "2", "--phi"], ["verify", "--only", "oracle"]]
+        "argv",
+        [
+            ["bounds", "--v", "2", "--phi"],
+            ["bounds", "--potential", "kratzer", "--v", "2", "--phi"],
+            ["sweep", "--steps", "50", "--phi"],
+            ["verify", "--only", "gaussian"],
+        ],
     )
-    def test_array_commands_load_numpy_on_first_use(self, argv):
-        assert self._run_fresh(argv) == (True, 0)
+    def test_collective_field_commands_never_load_numpy(self, argv):
+        # the pair moments are plain Python; only the eigensolver needs arrays
+        assert self._run_fresh(argv) == (False, 0)
+
+    @pytest.mark.parametrize("module", ["numpy", "scipy.linalg"])
+    def test_eigensolver_loads_numpy_and_scipy_linalg_on_first_use(self, module):
+        assert self._run_fresh(["verify", "--only", "oracle"], module) == (True, 0)

@@ -1,7 +1,7 @@
 """Tests for the variational collective-field bound.
 
-C2 is a closed form, and C_-1 and C_-2 are one-dimensional tanh-sinh
-quadratures; all three are checked independently: against adaptive
+C2 is a closed form, C_-1 a closed form summed as a series and C_-2 a
+one-dimensional tanh-sinh quadrature; all three are checked independently: against adaptive
 quadrature (``scipy.integrate.quad``) of their radial integrals, the
 incomplete beta closed form of C_-1, chi-square moments at q = 2, a Monte
 Carlo evaluation with the angular average done exactly, and frozen
@@ -186,24 +186,19 @@ class TestMomentCoeffs:
             inverse_square_coeff(0.4)
 
     def test_unconverged_rule_raises_with_both_estimates(self, monkeypatch):
-        # levels 3 and 4, both read in one pass over level 4, cannot agree to
-        # 1e-16, so both certified moments must raise rather than return
-        # (called past their per-q caches)
+        # levels 3 and 4 of C_-2, both read in one pass over level 4, cannot
+        # agree to 1e-16, so the certified moment must raise rather than
+        # return (called past its per-q cache)
         q = 5.2468
-        moments = ((-2, inverse_square_coeff), (-1, lambda qq: moment_coeff(qq, -1)))
         monkeypatch.setattr(collective_field, "_MAX_LEVEL", collective_field._MIN_LEVEL)
         monkeypatch.setattr(collective_field, "_RTOL", 1e-16)
-        errors = []
-        for p, _ in moments:
-            with pytest.raises(QuadratureError, match=f"C_{p} did not converge") as excinfo:
-                collective_field._pair_moment.__wrapped__(p, q)
-            errors.append(excinfo.value)
+        with pytest.raises(QuadratureError, match="C_-2 did not converge") as excinfo:
+            collective_field._pair_moment.__wrapped__(-2, q)
         monkeypatch.undo()
-        for exc, (_, coeff) in zip(errors, moments):
-            lo, hi = exc.estimates
-            assert lo != hi
-            for est in (lo, hi):
-                assert est == pytest.approx(coeff(q), rel=1e-6)
+        lo, hi = excinfo.value.estimates
+        assert lo != hi
+        for est in (lo, hi):
+            assert est == pytest.approx(inverse_square_coeff(q), rel=1e-6)
 
     @pytest.mark.parametrize("q", [4e154, 1e155])
     @pytest.mark.parametrize("coeff", [lambda q: moment_coeff(q, -1), inverse_square_coeff], ids=["Cm1", "Cm2"])
@@ -214,23 +209,26 @@ class TestMomentCoeffs:
             coeff(q)
 
     def test_each_visited_level_is_evaluated_once(self, monkeypatch):
-        # one pass over level 4 certifies it against level 3 on its even
-        # nodes, across the q bracket; at q = 1000 the rule must go on to 5
+        # one pass over level 4 certifies C_-2 against level 3 on its even
+        # nodes, across the q bracket; at q = 1000 the rule must go on to 5.
+        # C_-1 is a closed form and reads no level
         weighted_kernel = collective_field._weighted_kernel
         seen = []
 
-        def spy(p, level):
+        def spy(level):
             seen.append(level)
-            return weighted_kernel(p, level)
+            return weighted_kernel(level)
 
         monkeypatch.setattr(collective_field, "_weighted_kernel", spy)
         grid = np.linspace(0.62, 12.0, 32)
         for q in grid:
-            for p in (-1, -2):
-                collective_field._pair_moment.__wrapped__(p, float(q))
-        assert seen == [4] * 2 * len(grid)
+            collective_field._pair_moment.__wrapped__(-1, float(q))
+        assert seen == []
+        for q in grid:
+            collective_field._pair_moment.__wrapped__(-2, float(q))
+        assert seen == [4] * len(grid)
         seen.clear()
-        collective_field._pair_moment.__wrapped__(-1, 1000.0)
+        collective_field._pair_moment.__wrapped__(-2, 1000.0)
         assert seen == [4, 5]
 
 
@@ -242,14 +240,18 @@ class TestIndependentReference:
         assert moment_coeff(q, 2) == pytest.approx(ref_c2(q), rel=1e-10)
         assert moment_coeff(q, -1) == pytest.approx(ref_cm1(q), rel=1e-10)
 
-    @pytest.mark.parametrize("q", [0.62, 1.0, 2.0, 3.3, 5.0305, 8.0, 12.0, 1000.0])
+    @pytest.mark.parametrize(
+        "q",
+        [0.51, 0.62, 1.0, 2.0, 3.3, 5.0305, 8.0, 12.0, 45.0, 1e3, 1e6]
+        + [float(q) for q in 10.0 ** np.random.default_rng(2026).uniform(np.log10(0.51), 6.0, 16)],
+    )
     def test_inverse_moment_matches_incomplete_beta(self, q):
         # by the shell theorem C_-1 = E[1/max(s, t)]; with s**q and t**q
         # Gamma(3/q) variables that is a regularized incomplete beta
         # function at 1/2 (DLMF 8.17)
         ratio = 2.0 * math.gamma(2.0 / q) / math.gamma(3.0 / q)
         expect = ratio * float(betainc(3.0 / q, 2.0 / q, 0.5))
-        assert moment_coeff(q, -1) == pytest.approx(expect, rel=1e-13)
+        assert moment_coeff(q, -1) == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("q", [3.0, 4.46, 5.0305])
     def test_inverse_square_matches_nested_quadrature(self, q):
@@ -411,13 +413,17 @@ class TestOptimize:
             optimize(osc(v=2.0))
         assert caplog.records == []
         # a bracket lying wholly above the optimum (q = 2.8587) is lowest at
-        # its lower end, so the search ends on that edge
-        monkeypatch.setattr(collective_field, "_Q_LO", 4.0)
-        with caplog.at_level(logging.WARNING, logger=logger):
-            res = optimize(osc(v=2.0))
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "bracket edge q = 4" in caplog.text
-        assert res.q_opt == pytest.approx(4.0, abs=1e-6)
+        # its lower end, and one wholly below it at its upper end; the
+        # search ends within 2*_Q_TOL*q of that edge
+        for name, edge in (("_Q_LO", 4.0), ("_Q_HI", 2.0)):
+            caplog.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(collective_field, name, edge)
+                with caplog.at_level(logging.WARNING, logger=logger):
+                    res = optimize(osc(v=2.0))
+            assert [r.levelno for r in caplog.records] == [logging.WARNING]
+            assert f"bracket edge q = {edge:g}" in caplog.text
+            assert res.q_opt == pytest.approx(edge, abs=2.0 * collective_field._Q_TOL * edge)
 
     @pytest.mark.parametrize("kind", list(PotentialKind))
     def test_unit_energy_has_one_interior_minimum(self, kind, caplog):

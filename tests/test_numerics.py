@@ -14,9 +14,14 @@ from bosonbounds import numerics
 from bosonbounds.numerics import minimize_1d, tanh_sinh_nodes
 
 
+def nodes(level):
+    """``tanh_sinh_nodes(level)`` as numpy arrays."""
+    return tuple(np.asarray(a) for a in tanh_sinh_nodes(level))
+
+
 def unit_rule(f, level=3):
     """One level of the tanh-sinh rule on (0, 1); f receives (x, 1 - x)."""
-    x, one_minus_x, w, _ = tanh_sinh_nodes(level)
+    x, one_minus_x, w, _ = nodes(level)
     return float(np.dot(f(x, one_minus_x), w))
 
 
@@ -39,7 +44,7 @@ class TestDeNodes:
     """The tanh-sinh rule, the double-exponential rule on (0, 1)."""
 
     def test_nodes_cover_the_unit_interval_monotonically(self):
-        x, one_minus_x, w, log_x = tanh_sinh_nodes(3)
+        x, one_minus_x, w, log_x = nodes(3)
         # x rounds to 1.0 at the last few nodes and 1 - x to 1.0 at the
         # first few; the smaller of the two is strictly monotone
         left = x < 0.5
@@ -52,7 +57,7 @@ class TestDeNodes:
         assert np.allclose(log_x[~left], np.log1p(-one_minus_x[~left]), rtol=1e-14, atol=0)
 
     def test_one_minus_x_is_exact_where_x_rounds_to_one(self):
-        x, one_minus_x, _, _ = tanh_sinh_nodes(4)
+        x, one_minus_x, _, _ = nodes(4)
         assert np.all(one_minus_x > 0)
         assert np.any(x == 1.0)
         # wherever x is not rounded away, 1 - x agrees with the subtraction
@@ -64,8 +69,8 @@ class TestDeNodes:
     def test_levels_halve_the_spacing(self, level):
         # the pair moments read the coarser level off the finer one's even
         # nodes, so the nesting must hold bit for bit
-        x1, one_minus_x1, w1, log_x1 = tanh_sinh_nodes(level)
-        x2, one_minus_x2, w2, log_x2 = tanh_sinh_nodes(level + 1)
+        x1, one_minus_x1, w1, log_x1 = nodes(level)
+        x2, one_minus_x2, w2, log_x2 = nodes(level + 1)
         assert len(x2) == 2 * len(x1) - 1
         for fine, coarse in ((x2, x1), (one_minus_x2, one_minus_x1), (log_x2, log_x1)):
             assert np.array_equal(fine[::2], coarse)

@@ -140,6 +140,22 @@ def test_inverse_moment_is_certified_over_the_whole_q_range(q):
 
 
 @PROPERTY
+@given(KINDS, st.one_of(st.just(0.0), log_uniform(-8.0, 15.0)))
+def test_q_search_agrees_with_a_bounded_search(kind, g):
+    # optimize's Brent runs at a loose tolerance; a bounded search at a far
+    # tighter one must find the same power and no lower energy
+    from scipy.optimize import minimize_scalar
+
+    unit = problem(kind, 1.0, g, 3, 1.0)
+    res = optimize(unit)
+    ref = minimize_scalar(
+        lambda q: minimize_scale(unit, q)[1], bounds=(0.62, 12.0), method="bounded", options={"xatol": 1e-10}
+    )
+    assert abs(res.q_opt - ref.x) <= 1e-5
+    assert res.energy - ref.fun <= 1e-12 * abs(ref.fun)
+
+
+@PROPERTY
 @given(KINDS, LAMS, MUS, VS)
 def test_collective_field_bound_lies_in_the_window(kind, lam, mu, v):
     # the cushion of bound_report: at mu = 0 on the oscillator F2 = FG

@@ -3,8 +3,9 @@
 Every ``$ bosonbounds ...`` line in a fenced block of README.md is run
 through ``main``; the lines after it, up to a blank line or the end of the
 block, are its expected output.  Output is compared byte for byte, apart
-from the numbers that come out of the q search: those go through numpy's
-vectorised exp and log1p, whose last bits may differ on another CPU, so
+from the numbers that come out of the q search: those go through the
+platform C library's exp, pow and gamma, whose last bits may differ on
+another system, and a last-bit change can move where the search stops, so
 each is held to the tolerance the rest of the suite pins it to.
 """
 
