@@ -8,16 +8,17 @@ Subcommands:
 * ``verify``    built-in calibration checks
 
 Exit codes: 0 success, 1 numerical or verification failure, 2 usage error.
+
+Start-up imports only ``argparse`` besides the package; ``json`` is
+imported when ``--format json`` asks for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import collective_field, radial_oracle
 from .closed_bounds import bound_report, gaussian_upper, lower_bound
@@ -52,22 +53,20 @@ def _potential_from(args) -> Potential:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    potential: Potential
-    d: int
-    v_min: float
-    v_max: float
-    steps: int
-    include_phi: bool = False
+class SweepConfig(namedtuple("SweepConfig", "potential d v_min v_max steps include_phi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.v_max) and 0.0 < self.v_min < self.v_max):
-            raise ValueError(
-                f"need 0 < v_min < v_max < inf, got v_min={self.v_min}, v_max={self.v_max}"
-            )
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+    def __new__(
+        cls, potential: Potential, d: int, v_min: float, v_max: float, steps: int, include_phi: bool = False
+    ):
+        if not (math.isfinite(v_max) and 0.0 < v_min < v_max):
+            raise ValueError(f"need 0 < v_min < v_max < inf, got v_min={v_min}, v_max={v_max}")
+        if not isinstance(steps, int) or steps < 2:
+            raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+        return tuple.__new__(cls, (potential, d, v_min, v_max, steps, include_phi))
+
+    # namedtuple's _make, which _replace calls, skips __new__ and its checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def sweep_rows(config: SweepConfig) -> list:
@@ -93,6 +92,8 @@ def _render_csv(rows) -> str:
 
 
 def _render_json(config: SweepConfig, rows) -> str:
+    import json  # imported here: only --format json uses it
+
     payload = {
         "config": {
             "potential": config.potential.kind.value,
@@ -109,7 +110,7 @@ def _render_json(config: SweepConfig, rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:

@@ -10,8 +10,7 @@ valid for integer dimension d >= 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import collective_field
 from .model import Potential, PotentialKind, Problem
@@ -115,24 +114,18 @@ def asymptotic_bounds(prob: Problem) -> tuple[float, float]:
     return lo, lo * m_constant(d)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """All bounds for one problem instance.
+BoundReport = namedtuple(
+    "BoundReport",
+    "lower upper_gaussian sigma2 asymptote_lower asymptote_upper upper_phi q_opt b_opt",
+    defaults=(None, None, None),
+)
+BoundReport.__doc__ = """All bounds for one problem instance.
 
-    ``upper_phi``, ``q_opt`` and ``b_opt`` are filled only when the
-    collective-field bound was requested (d = 3 only); the asymptote
-    coefficients are None when mu = 0, where no linear large-v regime
-    exists, and with sigma2 when only the energy window was requested.
-    """
-
-    lower: float
-    upper_gaussian: float
-    sigma2: Optional[float]
-    asymptote_lower: Optional[float]
-    asymptote_upper: Optional[float]
-    upper_phi: Optional[float] = None
-    q_opt: Optional[float] = None
-    b_opt: Optional[float] = None
+``upper_phi``, ``q_opt`` and ``b_opt`` are filled only when the
+collective-field bound was requested (d = 3 only); the asymptote
+coefficients are None when mu = 0, where no linear large-v regime
+exists, and with sigma2 when only the energy window was requested.
+"""
 
 
 def bound_report(prob: Problem, include_phi: bool = False, window_only: bool = False) -> BoundReport:
@@ -167,7 +160,7 @@ def bound_report(prob: Problem, include_phi: bool = False, window_only: bool = F
         q_opt=q_opt,
         b_opt=b_opt,
     )
-    if not all(math.isfinite(x) for x in vars(report).values() if x is not None):
+    if not all(math.isfinite(x) for x in report if x is not None):
         raise RuntimeError(f"non-finite bound at v={prob.v!r}: {report!r}")
     if 0.0 in (report.lower, report.upper_gaussian, phi):
         raise RuntimeError(f"bound underflows to 0 at v={prob.v!r}: {report!r}")

@@ -22,16 +22,17 @@ level by level until two agree.  Everything is plain Python on ``math``.
 
 The 1-D delta-interaction model used for calibration lives here too: its
 functional on the same family is fully closed-form.
+
+Results are ``PhiResult`` named tuples.  A minimizer on the bracket edge
+is logged as a warning; ``logging`` is imported only then.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional
 
 from .model import Potential, PotentialKind, Problem
 from .numerics import QuadratureError, minimize_1d, tanh_sinh_nodes
@@ -45,8 +46,6 @@ __all__ = [
     "optimize",
     "delta_1d_phi",
 ]
-
-logger = logging.getLogger(__name__)
 
 # bracket of the q search in optimize: q_opt depends only on the kind and
 # g = v*mu; at every g sampled it rises from 2 (oscillator) and 1.6013
@@ -67,12 +66,7 @@ _MIN_LEVEL, _MAX_LEVEL = 4, 5
 _DROP = 1e-18
 
 
-@dataclass(frozen=True)
-class PhiResult:
-    energy: float
-    q_opt: float
-    b_opt: float
-    converged: bool
+PhiResult = namedtuple("PhiResult", "energy q_opt b_opt converged")
 
 
 def _require_q(q: float):
@@ -301,7 +295,9 @@ def optimize(prob: Problem) -> PhiResult:
     # Brent stops once both ends of its bracket lie within 2*tol*max(1, q)
     # of q, and an end it never moved is a bracket edge
     if min(res.x_min - _Q_LO, _Q_HI - res.x_min) <= 2.0 * _Q_TOL * max(1.0, res.x_min):
-        logger.warning(
+        import logging  # imported here: only this warning uses it
+
+        logging.getLogger(__name__).warning(
             "energy over q is lowest at the bracket edge q = %g; result is one-sided",
             res.x_min,
         )
@@ -319,7 +315,7 @@ def optimize(prob: Problem) -> PhiResult:
 _DELTA_Q_OPT = 1.612069348339162
 
 
-def delta_1d_phi(v: float, q: Optional[float] = None) -> PhiResult:
+def delta_1d_phi(v: float, q: float | None = None) -> PhiResult:
     """Collective-field bound for the 1-D attractive delta model.
 
     On the family phi(x) ~ exp(-(|x|/b)**q) the kinetic term

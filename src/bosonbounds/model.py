@@ -4,12 +4,16 @@ The N-boson problem with a pair potential V0*f(|ri - rj|) reduces to a
 one-body Hamiltonian H = -Laplacian + v*f(r) with the dimensionless
 coupling v = N*m*V0*a^2/(2*hbar^2); the physical ground-state energy is
 recovered as (N-1)*hbar^2/(m*a^2) times the dimensionless one.
+
+``Potential``, ``Problem`` and ``PhysicalSystem`` are immutable named
+tuples that check their fields however they are built: by call, ``_make``,
+``_replace``, ``copy`` or unpickling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 __all__ = [
@@ -28,25 +32,26 @@ class PotentialKind(Enum):
     KRATZER = "kratzer"
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(namedtuple("Potential", "kind lam mu")):
     """Pair-potential shape f(r).
 
     SOFT_CORE_OSCILLATOR: f(r) = lam*r**2 + mu/r**2
     KRATZER:              f(r) = -lam/r + mu/r**2
     """
 
-    kind: PotentialKind
-    lam: float
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.kind, PotentialKind):
-            raise ValueError(f"kind must be a PotentialKind, got {self.kind!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be non-negative and finite, got {self.mu}")
+    def __new__(cls, kind: PotentialKind, lam: float, mu: float):
+        if not isinstance(kind, PotentialKind):
+            raise ValueError(f"kind must be a PotentialKind, got {kind!r}")
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"lam must be positive and finite, got {lam}")
+        if not (math.isfinite(mu) and mu >= 0.0):
+            raise ValueError(f"mu must be non-negative and finite, got {mu}")
+        return tuple.__new__(cls, (kind, lam, mu))
+
+    # namedtuple's _make, which _replace calls, skips __new__ and its checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def oscillator(cls, lam: float = 1.0, mu: float = 1.0) -> "Potential":
@@ -57,39 +62,38 @@ class Potential:
         return cls(PotentialKind.KRATZER, lam, mu)
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(namedtuple("Problem", "potential d v")):
     """A dimensionless bound-state instance: shape, dimension d, coupling v."""
 
-    potential: Potential
-    d: int
-    v: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 3:
+    def __new__(cls, potential: Potential, d: int, v: float):
+        if not isinstance(d, int) or d < 3:
             # d - 2 appears in denominators of every closed form
-            raise ValueError(f"d must be an integer >= 3, got {self.d!r}")
-        if not (math.isfinite(self.v) and self.v > 0.0):
-            raise ValueError(f"v must be positive and finite, got {self.v}")
+            raise ValueError(f"d must be an integer >= 3, got {d!r}")
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"v must be positive and finite, got {v}")
+        return tuple.__new__(cls, (potential, d, v))
+
+    # namedtuple's _make, which _replace calls, skips __new__ and its checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class PhysicalSystem:
+class PhysicalSystem(namedtuple("PhysicalSystem", "N V0 m a hbar")):
     """Physical N-boson parameters; bridges to the dimensionless problem."""
 
-    N: int
-    V0: float
-    m: float = 1.0
-    a: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
-        for name in ("V0", "m", "a", "hbar"):
-            val = getattr(self, name)
+    def __new__(cls, N: int, V0: float, m: float = 1.0, a: float = 1.0, hbar: float = 1.0):
+        if not isinstance(N, int) or N < 2:
+            raise ValueError(f"N must be an integer >= 2, got {N!r}")
+        for name, val in (("V0", V0), ("m", m), ("a", a), ("hbar", hbar)):
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {val}")
+        return tuple.__new__(cls, (N, V0, m, a, hbar))
+
+    # namedtuple's _make, which _replace calls, skips __new__ and its checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def dimensionless_coupling(phys: PhysicalSystem) -> float:

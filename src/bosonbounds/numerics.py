@@ -7,13 +7,14 @@ Python on ``math``:
   (double-exponential) rule on (0, 1), the rule behind the soft-core pair
   moment C_-2.
 * ``minimize_1d``: bracketed one-dimensional minimization (golden section
-  with parabolic acceleration), the search over q in ``optimize``.
+  with parabolic acceleration), the search over q in ``optimize``; it
+  returns a ``MinimizeResult`` named tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "MinimizeResult",
@@ -76,12 +77,7 @@ def tanh_sinh_nodes(level: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
-    x_min: float
-    f_min: float
-    converged: bool
-    iterations: int
+MinimizeResult = namedtuple("MinimizeResult", "x_min f_min converged iterations")
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))

@@ -189,6 +189,11 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3"])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            SweepConfig(Potential.kratzer(), 3, 2.0, 8.0, steps)
+
 
 class TestPhysical:
     def test_energy_window(self, capsys):
@@ -424,3 +429,31 @@ class TestImport:
     @pytest.mark.parametrize("module", ["numpy", "scipy.linalg"])
     def test_eigensolver_loads_numpy_and_scipy_linalg_on_first_use(self, module):
         assert self._run_fresh(["verify", "--only", "oracle"], module) == (True, 0)
+
+    def test_commands_load_no_heavy_stdlib_module(self):
+        # dataclasses pulls in inspect, ast and dis; logging serves one
+        # warning and json one output format, so neither is imported up front
+        probe = (
+            "import sys; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'logging', 'json') if m in sys.modules))"
+        )
+        commands = [
+            ["bounds", "--v", "2"],
+            ["bounds", "--v", "2", "--phi"],
+            ["bounds", "--potential", "kratzer", "--v", "2", "--phi"],
+            ["physical", "--N", "100", "--V0", "0.04"],
+            ["sweep", "--steps", "3", "--phi"],
+        ]
+        code = "from bosonbounds.cli import main; " + "".join(f"assert main({a!r}) == 0; " for a in commands)
+        outputs = []
+        for source in ("pass; ", code):
+            proc = subprocess.run(
+                [sys.executable, "-c", source + probe], capture_output=True, text=True, env=src_env()
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.splitlines()[-1])
+        bare, after_commands = outputs
+        assert after_commands == bare
+
+    def test_json_output_loads_json(self):
+        assert self._run_fresh(["sweep", "--steps", "3", "--format", "json"], "json") == (True, 0)
